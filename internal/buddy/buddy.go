@@ -14,29 +14,11 @@
 package buddy
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"tps/internal/addr"
 )
-
-// pfnHeap is a min-heap of frame numbers. Together with the membership maps
-// it gives deterministic lowest-address-first allocation (entries deleted by
-// buddy merges are discarded lazily at pop time).
-type pfnHeap []addr.PFN
-
-func (h pfnHeap) Len() int            { return len(h) }
-func (h pfnHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h pfnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pfnHeap) Push(x interface{}) { *h = append(*h, x.(addr.PFN)) }
-func (h *pfnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // MaxOrder is the largest block order the allocator manages. Linux uses 11
 // (4 MB); we extend to addr.MaxOrder (1 GB) so tailored reservations up to
@@ -62,16 +44,15 @@ type Allocator struct {
 	totalPages uint64
 	freePages  uint64
 
-	// freeLists[o] holds the starting PFN of every free order-o block,
-	// as a set for O(1) buddy lookup during merge. heaps[o] shadows the
-	// set to provide deterministic lowest-address allocation.
-	freeLists [MaxOrder + 1]map[addr.PFN]struct{}
-	heaps     [MaxOrder + 1]pfnHeap
+	// free[o] holds every free order-o block by index (first frame >> o):
+	// O(1) buddy lookup during merge, and its lowest member gives
+	// deterministic lowest-address allocation.
+	free [MaxOrder + 1]bitset
 
-	// owner maps the first frame of every *allocated* block to its order,
-	// so Free can validate and size the release, and compaction can
+	// owned[o] holds every *allocated* order-o block the same way, so
+	// Free can validate and size the release, and compaction can
 	// enumerate used blocks.
-	owner map[addr.PFN]addr.Order
+	owned [MaxOrder + 1]bitset
 
 	stats Stats
 }
@@ -79,10 +60,7 @@ type Allocator struct {
 // New creates an allocator managing totalPages base frames. The range is
 // seeded with the largest aligned blocks that fit, as after boot.
 func New(totalPages uint64) *Allocator {
-	a := &Allocator{totalPages: totalPages, owner: make(map[addr.PFN]addr.Order)}
-	for o := range a.freeLists {
-		a.freeLists[o] = make(map[addr.PFN]struct{})
-	}
+	a := &Allocator{totalPages: totalPages}
 	var pfn addr.PFN
 	remaining := totalPages
 	for remaining > 0 {
@@ -128,7 +106,7 @@ func (a *Allocator) Alloc(order addr.Order) (addr.PFN, error) {
 			a.pushFree(half, upper)
 			a.stats.Splits++
 		}
-		a.owner[pfn] = order
+		a.owned[order].add(uint64(pfn) >> order)
 		a.freePages -= order.Pages()
 		a.stats.Allocs++
 		return pfn, nil
@@ -142,7 +120,7 @@ func (a *Allocator) Alloc(order addr.Order) (addr.PFN, error) {
 // "leverage what contiguity it can" (§I).
 func (a *Allocator) AllocLargest(max addr.Order) (addr.PFN, addr.Order, error) {
 	for o := max; o >= 0; o-- {
-		if len(a.freeLists[o]) > 0 {
+		if a.free[o].len() > 0 {
 			pfn, err := a.Alloc(o)
 			return pfn, o, err
 		}
@@ -157,20 +135,20 @@ func (a *Allocator) AllocLargest(max addr.Order) (addr.PFN, addr.Order, error) {
 // buddy repeatedly (§II-B). The pfn must be the exact value returned by
 // Alloc.
 func (a *Allocator) Free(pfn addr.PFN) error {
-	order, ok := a.owner[pfn]
+	order, ok := a.Owned(pfn)
 	if !ok {
 		return fmt.Errorf("buddy: free of unowned block %#x", pfn)
 	}
-	delete(a.owner, pfn)
+	a.owned[order].remove(uint64(pfn) >> order)
 	a.freePages += order.Pages()
 	a.stats.Frees++
 
 	for order < MaxOrder {
 		buddyPFN := pfn ^ addr.PFN(order.Pages())
-		if _, free := a.freeLists[order][buddyPFN]; !free {
+		if !a.free[order].has(uint64(buddyPFN) >> order) {
 			break
 		}
-		delete(a.freeLists[order], buddyPFN) // heap entry discarded lazily
+		a.free[order].remove(uint64(buddyPFN) >> order)
 		if buddyPFN < pfn {
 			pfn = buddyPFN
 		}
@@ -181,43 +159,44 @@ func (a *Allocator) Free(pfn addr.PFN) error {
 	return nil
 }
 
-// pushFree adds a free block to the order's set and heap.
+// pushFree adds a free block to the order's free set.
 func (a *Allocator) pushFree(o addr.Order, pfn addr.PFN) {
-	a.freeLists[o][pfn] = struct{}{}
-	heap.Push(&a.heaps[o], pfn)
+	a.free[o].add(uint64(pfn) >> o)
 }
 
-// popFree removes and returns the lowest-addressed free block of the order,
-// discarding heap entries whose blocks were consumed by buddy merges.
+// popFree removes and returns the lowest-addressed free block of the order.
 func (a *Allocator) popFree(o addr.Order) (addr.PFN, bool) {
-	h := &a.heaps[o]
-	for h.Len() > 0 {
-		pfn := heap.Pop(h).(addr.PFN)
-		if _, ok := a.freeLists[o][pfn]; ok {
-			delete(a.freeLists[o], pfn)
-			return pfn, true
-		}
+	i, ok := a.free[o].min()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	a.free[o].remove(i)
+	return addr.PFN(i << o), true
 }
 
 // Owned reports whether pfn is the first frame of an allocated block, and
 // the block's order.
 func (a *Allocator) Owned(pfn addr.PFN) (addr.Order, bool) {
-	o, ok := a.owner[pfn]
-	return o, ok
+	// A block starts on a frame aligned to its order, so only orders up
+	// to pfn's alignment can hold it.
+	for o := addr.Order(0); o <= MaxOrder && pfn.Aligned(o); o++ {
+		if a.owned[o].has(uint64(pfn) >> o) {
+			return o, true
+		}
+	}
+	return 0, false
 }
 
 // FreeBlockCount returns the number of free blocks of the given order,
 // mirroring one column of /proc/buddyinfo.
-func (a *Allocator) FreeBlockCount(order addr.Order) int { return len(a.freeLists[order]) }
+func (a *Allocator) FreeBlockCount(order addr.Order) int { return a.free[order].len() }
 
 // Snapshot returns the buddyinfo-style population: count of free blocks per
 // order.
 func (a *Allocator) Snapshot() [MaxOrder + 1]int {
 	var s [MaxOrder + 1]int
-	for o := range a.freeLists {
-		s[o] = len(a.freeLists[o])
+	for o := range a.free {
+		s[o] = a.free[o].len()
 	}
 	return s
 }
@@ -237,7 +216,7 @@ func (a *Allocator) Coverage() [MaxOrder + 1]float64 {
 		for b := o; b <= MaxOrder; b++ {
 			// Free-list blocks are naturally aligned, so every free
 			// order-b block (b >= o) is fully tileable by order-o pages.
-			usable += uint64(len(a.freeLists[b])) * b.Pages()
+			usable += uint64(a.free[b].len()) * b.Pages()
 		}
 		cov[o] = float64(usable) / float64(a.freePages)
 	}
@@ -248,7 +227,7 @@ func (a *Allocator) Coverage() [MaxOrder + 1]float64 {
 // no memory is free.
 func (a *Allocator) LargestFreeOrder() addr.Order {
 	for o := addr.Order(MaxOrder); o >= 0; o-- {
-		if len(a.freeLists[o]) > 0 {
+		if a.free[o].len() > 0 {
 			return o
 		}
 	}
@@ -297,9 +276,11 @@ func (rs RelocationSet) Resolve(pfn addr.PFN) addr.PFN {
 // first-fit in address order. The paper's daemon is incremental, but the
 // evaluation only needs before/after contiguity states.
 func (a *Allocator) Compact() RelocationSet {
-	used := make([]usedBlock, 0, len(a.owner))
-	for pfn, o := range a.owner {
-		used = append(used, usedBlock{pfn, o})
+	var used []usedBlock
+	for o := range a.owned {
+		a.owned[o].each(func(i uint64) {
+			used = append(used, usedBlock{addr.PFN(i << o), addr.Order(o)})
+		})
 	}
 	// Place the largest blocks first (their alignment constraints are the
 	// tightest), breaking ties by current address for determinism.
@@ -324,9 +305,8 @@ func (a *Allocator) Compact() RelocationSet {
 		}
 		relocation = append(relocation, Relocation{Old: b.pfn, New: newPFN, Order: b.order})
 	}
-	a.freeLists = fresh.freeLists
-	a.heaps = fresh.heaps
-	a.owner = fresh.owner
+	a.free = fresh.free
+	a.owned = fresh.owned
 	a.freePages = fresh.freePages
 	fresh.stats = Stats{}
 	sort.Slice(relocation, func(i, j int) bool { return relocation[i].Old < relocation[j].Old })
@@ -338,40 +318,51 @@ func (a *Allocator) Compact() RelocationSet {
 // is both free and owned. Tests call this after randomized operation
 // sequences.
 func (a *Allocator) CheckInvariants() error {
-	covered := make(map[addr.PFN]bool)
-	var freeCount uint64
-	for o := addr.Order(0); o <= MaxOrder; o++ {
-		for pfn := range a.freeLists[o] {
-			if !pfn.Aligned(o) {
-				return fmt.Errorf("free block %#x misaligned for order %d", pfn, o)
-			}
-			if uint64(pfn)+o.Pages() > a.totalPages {
-				return fmt.Errorf("free block %#x order %d out of range", pfn, o)
-			}
-			for i := uint64(0); i < o.Pages(); i++ {
-				f := pfn + addr.PFN(i)
-				if covered[f] {
-					return fmt.Errorf("frame %#x on multiple free lists", f)
+	// covered has one bit per frame; blocks are aligned powers of two,
+	// so a block fills whole words or lies inside one.
+	covered := make([]uint64, (a.totalPages+63)/64)
+	overlaps := func(pfn addr.PFN, o addr.Order) bool {
+		if o >= 6 {
+			for w := pfn / 64; w < (pfn+addr.PFN(o.Pages()))/64; w++ {
+				if covered[w] != 0 {
+					return true
 				}
-				covered[f] = true
+				covered[w] = ^uint64(0)
 			}
-			freeCount += o.Pages()
+			return false
+		}
+		m := (uint64(1)<<o.Pages() - 1) << (pfn % 64)
+		hit := covered[pfn/64]&m != 0
+		covered[pfn/64] |= m
+		return hit
+	}
+	var counts [2]uint64 // free, owned
+	for kind, sets := range [][MaxOrder + 1]bitset{a.free, a.owned} {
+		for o := addr.Order(0); o <= MaxOrder; o++ {
+			if err := sets[o].check(); err != nil {
+				return fmt.Errorf("order %d: %v", o, err)
+			}
+			var err error
+			sets[o].each(func(i uint64) {
+				pfn := addr.PFN(i << o)
+				switch {
+				case err != nil:
+				case uint64(pfn)+o.Pages() > a.totalPages:
+					err = fmt.Errorf("block %#x order %d out of range", pfn, o)
+				case overlaps(pfn, o):
+					err = fmt.Errorf("block %#x order %d overlaps another free or owned block", pfn, o)
+				default:
+					counts[kind] += o.Pages()
+				}
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
+	freeCount, ownedCount := counts[0], counts[1]
 	if freeCount != a.freePages {
 		return fmt.Errorf("freePages=%d but free lists hold %d", a.freePages, freeCount)
-	}
-	var ownedCount uint64
-	for pfn, o := range a.owner {
-		if !pfn.Aligned(o) {
-			return fmt.Errorf("owned block %#x misaligned for order %d", pfn, o)
-		}
-		for i := uint64(0); i < o.Pages(); i++ {
-			if covered[pfn+addr.PFN(i)] {
-				return fmt.Errorf("frame %#x both free and owned", pfn+addr.PFN(i))
-			}
-		}
-		ownedCount += o.Pages()
 	}
 	if freeCount+ownedCount != a.totalPages {
 		return fmt.Errorf("accounting: free %d + owned %d != total %d", freeCount, ownedCount, a.totalPages)

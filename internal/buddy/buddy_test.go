@@ -363,17 +363,48 @@ func TestAllocInvalidOrder(t *testing.T) {
 	}
 }
 
+// BenchmarkAllocFree measures one allocation plus one free on a 16 GB
+// allocator (the size of each simulated machine). "pair" frees each block
+// at once, so every free merges straight back; "churn" keeps 4096 blocks
+// of mixed orders live and frees the oldest, so splits, merges and the
+// lowest-address search work on populated free lists.
 func BenchmarkAllocFree(b *testing.B) {
-	a := New(1 << 18)
-	for i := 0; i < b.N; i++ {
-		p, err := a.Alloc(addr.Order(i % 4))
-		if err != nil {
-			b.Fatal(err)
+	b.Run("pair", func(b *testing.B) {
+		a := New(1 << 22)
+		for i := 0; i < b.N; i++ {
+			p, err := a.Alloc(addr.Order(i % 4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := a.Free(p); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if err := a.Free(p); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("churn", func(b *testing.B) {
+		a := New(1 << 22)
+		rng := rand.New(rand.NewSource(1))
+		live := make([]addr.PFN, 4096)
+		for i := range live {
+			p, err := a.Alloc(addr.Order(rng.Intn(10)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			live[i] = p
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot := i % len(live)
+			if err := a.Free(live[slot]); err != nil {
+				b.Fatal(err)
+			}
+			p, err := a.Alloc(addr.Order(rng.Intn(10)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			live[slot] = p
+		}
+	})
 }
 
 func TestRelocationSetResolveInterior(t *testing.T) {

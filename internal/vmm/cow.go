@@ -7,6 +7,7 @@ import (
 
 	"tps/internal/addr"
 	"tps/internal/mmu"
+	"tps/internal/pagetable"
 	"tps/internal/pte"
 )
 
@@ -89,12 +90,11 @@ func (k *Kernel) CloneCOW(base addr.Virt) (addr.Virt, error) {
 	}
 	src.cowFrames = nil
 	for _, r := range src.reservations {
-		for _, pfn := range r.lazyFrames {
+		r.forEachLazyFrame(func(pfn addr.PFN) addr.PFN {
 			g.blocks = append(g.blocks, pfn)
-		}
-		if len(r.lazyFrames) > 0 {
-			r.lazyFrames = make(map[addr.VPN]addr.PFN)
-		}
+			return pfn
+		})
+		r.lazyFrames = nil
 	}
 	g.refs++
 
@@ -118,23 +118,30 @@ func (k *Kernel) CloneCOW(base addr.Virt) (addr.Virt, error) {
 	roFlags := (src.flags | pte.FlagUser) &^ pte.FlagWrite
 	for _, r := range src.reservations {
 		nr := newReservation(r.vpn+delta, r.order)
-		nr.lazyFrames = make(map[addr.VPN]addr.PFN) // later faults are private
+		nr.lazy = true // later faults are private
 		copy(nr.touched, r.touched)
 		nr.touchedCount = r.touchedCount
-		for vpn, o := range r.mapped {
-			cur, err := k.table.Lookup(vpn.Addr())
+		var err error
+		r.forEachMapped(func(vpn addr.VPN, o addr.Order) {
 			if err != nil {
-				return 0, err
+				return
+			}
+			var cur pagetable.WalkResult
+			if cur, err = k.table.Lookup(vpn.Addr()); err != nil {
+				return
 			}
 			// Share the frame read-only in the clone...
-			if err := k.mapPageRaw(nr, vpn+delta, cur.PFN, o, roFlags); err != nil {
-				return 0, err
+			if err = k.mapPageRaw(nr, vpn+delta, cur.PFN, o, roFlags); err != nil {
+				return
 			}
 			// ...and downgrade the source to read-only too.
-			if err := k.table.Protect(vpn.Addr(), roFlags); err != nil {
-				return 0, err
+			if err = k.table.Protect(vpn.Addr(), roFlags); err != nil {
+				return
 			}
 			k.stats.SysCycles += k.cfg.Costs.PTEWrite
+		})
+		if err != nil {
+			return 0, err
 		}
 		dst.reservations = append(dst.reservations, nr)
 	}

@@ -75,6 +75,10 @@ type Kernel struct {
 	granules   uint32
 	anyGranule bool
 
+	// promoOrders are the page orders the policy promotes through, in
+	// ascending order; a reservation stops at its own order.
+	promoOrders []addr.Order
+
 	stats Stats
 
 	// promosByOrder resolves stats.Promotions by target page order.
@@ -111,6 +115,16 @@ func New(cfg Config, bud *buddy.Allocator) *Kernel {
 		k.granules |= 1 << uint(o)
 	}
 	k.granules |= 1 // base pages are always mappable
+	switch cfg.Policy {
+	case PolicyTHP:
+		k.promoOrders = []addr.Order{addr.Order2M}
+	case PolicyTPS:
+		for o := addr.Order(1); o <= cfg.MaxTailoredOrder; o++ {
+			if k.orderAllowed(o) { // fixed-granule schemes skip intermediate sizes
+				k.promoOrders = append(k.promoOrders, o)
+			}
+		}
+	}
 	return k
 }
 
@@ -300,7 +314,7 @@ func (k *Kernel) reserve(c addr.Chunk) (*reservation, error) {
 	if k.cfg.Policy == PolicyBase4K {
 		// Plain demand paging reserves no physical memory up front;
 		// frames are allocated one at a time at fault.
-		r.lazyFrames = make(map[addr.VPN]addr.PFN)
+		r.lazy = true
 		return r, nil
 	}
 
@@ -352,9 +366,10 @@ func (k *Kernel) releaseReservation(r *reservation) {
 		_ = k.bud.Free(b.pfn)
 	}
 	r.blocks = nil
-	for _, pfn := range r.lazyFrames {
+	r.forEachLazyFrame(func(pfn addr.PFN) addr.PFN {
 		_ = k.bud.Free(pfn)
-	}
+		return pfn
+	})
 	r.lazyFrames = nil
 }
 
@@ -409,7 +424,7 @@ func (k *Kernel) mapPageRaw(r *reservation, vpn addr.VPN, pfn addr.PFN, order ad
 	if err := k.table.Map(vpn.Addr(), pfn, order, rawFlags); err != nil {
 		return err
 	}
-	r.mapped[vpn] = order
+	r.setMapped(vpn, order)
 	return nil
 }
 
@@ -421,7 +436,7 @@ func (k *Kernel) unmapPage(r *reservation, vpn addr.VPN) error {
 	if err != nil {
 		return err
 	}
-	delete(r.mapped, vpn)
+	r.clearMapped(vpn)
 	return nil
 }
 
@@ -495,57 +510,25 @@ func (k *Kernel) Fault(v addr.Virt, write bool) error {
 		k.stats.DemandPages++
 	}
 	// Already mapped (by an earlier promotion below threshold 1.0)?
-	if k.coveredBy(r, vpn) {
+	if r.covered(vpn) {
 		return nil
 	}
 	pfn, _, ok := r.frameFor(vpn)
 	if !ok {
-		if r.lazyFrames == nil {
+		if !r.lazy {
 			return fmt.Errorf("vmm: reservation has no frame for %#x", uint64(v))
 		}
 		p, err := k.bud.Alloc(0)
 		if err != nil {
 			return ErrNoMemory
 		}
-		r.lazyFrames[vpn] = p
+		r.setLazyFrame(vpn, p)
 		pfn = p
 	}
 	if err := k.mapPage(r, vpn, pfn, 0, vma.flags); err != nil {
 		return err
 	}
 	return k.promote(vma, r, vpn)
-}
-
-// coveredBy reports whether some mapped page in r covers vpn.
-func (k *Kernel) coveredBy(r *reservation, vpn addr.VPN) bool {
-	for o := addr.Order(0); o <= r.order; o++ {
-		if mo, ok := r.mapped[vpn.AlignDown(o)]; ok && mo >= o {
-			return true
-		}
-	}
-	return false
-}
-
-// promotionOrders returns the page orders the policy promotes through.
-func (k *Kernel) promotionOrders(r *reservation) []addr.Order {
-	switch k.cfg.Policy {
-	case PolicyTHP:
-		if r.order >= addr.Order2M {
-			return []addr.Order{addr.Order2M}
-		}
-		return nil
-	case PolicyTPS:
-		var out []addr.Order
-		for o := addr.Order(1); o <= r.order && o <= k.cfg.MaxTailoredOrder; o++ {
-			if !k.orderAllowed(o) {
-				continue // fixed-granule schemes skip intermediate sizes
-			}
-			out = append(out, o)
-		}
-		return out
-	default:
-		return nil
-	}
 }
 
 // promotable reports whether a VMA's pages may grow (CoW sharing pins
@@ -561,7 +544,10 @@ func (k *Kernel) promote(vma *vma, r *reservation, vpn addr.VPN) error {
 	if !vma.promotable() {
 		return nil
 	}
-	for _, o := range k.promotionOrders(r) {
+	for _, o := range k.promoOrders {
+		if o > r.order {
+			break
+		}
 		base := vpn.AlignDown(o)
 		if base < r.vpn || base+addr.VPN(o.Pages()) > r.end() {
 			break
@@ -579,7 +565,7 @@ func (k *Kernel) promote(vma *vma, r *reservation, vpn addr.VPN) error {
 		if util < k.cfg.PromotionThreshold {
 			break
 		}
-		if mo, ok := r.mapped[base]; ok && mo >= o {
+		if mo, ok := r.mappedAt(base); ok && mo >= o {
 			break // already at or above this size
 		}
 		if err := k.upgrade(vma, r, base, o); err != nil {
@@ -595,7 +581,7 @@ func (k *Kernel) upgrade(vma *vma, r *reservation, base addr.VPN, o addr.Order) 
 	end := base + addr.VPN(o.Pages())
 	newlyMapped := uint64(0)
 	for pos := base; pos < end; {
-		if mo, ok := r.mapped[pos]; ok {
+		if mo, ok := r.mappedAt(pos); ok {
 			if err := k.unmapPage(r, pos); err != nil {
 				return err
 			}
@@ -612,7 +598,7 @@ func (k *Kernel) upgrade(vma *vma, r *reservation, base addr.VPN, o addr.Order) 
 	if err := k.table.Map(base.Addr(), pfn, o, vma.flags|pte.FlagWrite|pte.FlagUser); err != nil {
 		return err
 	}
-	r.mapped[base] = o
+	r.setMapped(base, o)
 	// Pages mapped for the first time by this upgrade must be zeroed and
 	// count as utilized from now on.
 	if newlyMapped > 0 {
@@ -637,12 +623,16 @@ func (k *Kernel) Munmap(base addr.Virt) error {
 	k.stats.Munmaps++
 	k.stats.SysCycles += k.cfg.Costs.Mmap
 	for _, r := range v.reservations {
-		for vpn := range r.mapped {
-			if _, _, _, err := k.table.Unmap(vpn.Addr()); err != nil {
-				return err
+		var err error
+		r.forEachMapped(func(vpn addr.VPN, _ addr.Order) {
+			if err == nil {
+				_, _, _, err = k.table.Unmap(vpn.Addr())
 			}
+		})
+		if err != nil {
+			return err
 		}
-		r.mapped = nil
+		r.whole, r.mappedOrd = false, nil
 		if k.ranger != nil {
 			for _, b := range r.blocks {
 				k.ranger.RemoveRange(b.vpn)
@@ -683,25 +673,23 @@ func (k *Kernel) Compact() {
 	// referenced from several VMAs.
 	for _, v := range k.vmas {
 		for _, r := range v.reservations {
-			for vpn, mo := range r.mapped {
+			r.forEachMapped(func(vpn addr.VPN, mo addr.Order) {
 				cur, err := k.table.Lookup(vpn.Addr())
 				if err != nil {
-					continue
+					return
 				}
 				newPFN := reloc.Resolve(cur.PFN)
 				if newPFN == cur.PFN {
-					continue
+					return
 				}
 				_ = k.table.Relocate(vpn.Addr(), newPFN)
 				k.stats.RelocatedPages += mo.Pages()
-			}
+			})
 			// Ownership bookkeeping follows the moves.
 			for bi := range r.blocks {
 				r.blocks[bi].pfn = reloc.Resolve(r.blocks[bi].pfn)
 			}
-			for vpn, pfn := range r.lazyFrames {
-				r.lazyFrames[vpn] = reloc.Resolve(pfn)
-			}
+			r.forEachLazyFrame(reloc.Resolve)
 		}
 		for bi := range v.cowFrames {
 			v.cowFrames[bi].pfn = reloc.Resolve(v.cowFrames[bi].pfn)
@@ -750,15 +738,18 @@ func (k *Kernel) ConsolidateReservations() {
 			}
 			// Migrate every mapped page to its slot in the new block.
 			ok := true
-			for vpn, mo := range r.mapped {
+			r.forEachMapped(func(vpn addr.VPN, mo addr.Order) {
+				if !ok {
+					return
+				}
 				dst := newPFN + addr.PFN(vpn-r.vpn)
 				if err := k.table.Relocate(vpn.Addr(), dst); err != nil {
 					ok = false
-					break
+					return
 				}
 				k.stats.RelocatedPages += mo.Pages()
 				k.stats.SysCycles += k.cfg.Costs.CopyPage * mo.Pages()
-			}
+			})
 			if !ok {
 				// Roll back is not needed for the pages already moved —
 				// Relocate only fails on alignment, which cannot happen
@@ -789,25 +780,23 @@ func (k *Kernel) MergePages() {
 	maxOrder := k.cfg.MaxTailoredOrder
 	for _, v := range k.vmas {
 		for _, r := range v.reservations {
-			for changed := true; changed; {
+			for changed := !r.whole; changed; {
 				changed = false
-				// Snapshot keys: we mutate r.mapped inside.
-				starts := make([]addr.VPN, 0, len(r.mapped))
-				for vpn := range r.mapped {
-					starts = append(starts, vpn)
-				}
-				sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-				for _, vpn := range starts {
-					o, ok := r.mapped[vpn]
-					if !ok || o >= maxOrder || !k.orderAllowed(o+1) {
+				// A pass visits the pages present when it reaches them in
+				// ascending order; a merged page is revisited next pass.
+				for i := uint64(0); i < uint64(len(r.mappedOrd)); {
+					vpn := r.vpn + addr.VPN(i)
+					o, ok := r.mappedAt(vpn)
+					if !ok {
+						i++
 						continue
 					}
-					if !vpn.Aligned(o + 1) {
+					i += o.Pages()
+					if o >= maxOrder || !k.orderAllowed(o+1) || !vpn.Aligned(o+1) {
 						continue
 					}
 					buddyVPN := vpn + addr.VPN(o.Pages())
-					bo, ok := r.mapped[buddyVPN]
-					if !ok || bo != o {
+					if bo, ok := r.mappedAt(buddyVPN); !ok || bo != o {
 						continue
 					}
 					a, errA := k.table.Lookup(vpn.Addr())
@@ -831,13 +820,14 @@ func (k *Kernel) MergePages() {
 						// Should not happen; restore the smaller pages.
 						k.table.Map(vpn.Addr(), a.PFN, o, v.flags|pte.FlagWrite|pte.FlagUser)
 						k.table.Map(buddyVPN.Addr(), b.PFN, o, v.flags|pte.FlagWrite|pte.FlagUser)
-						r.mapped[vpn] = o
-						r.mapped[buddyVPN] = o
+						r.setMapped(vpn, o)
+						r.setMapped(buddyVPN, o)
 						continue
 					}
-					r.mapped[vpn] = o + 1
+					r.setMapped(vpn, o+1)
 					k.stats.PageMerges++
 					changed = true
+					i += o.Pages() // the buddy is part of the merged page
 				}
 			}
 		}

@@ -503,23 +503,6 @@ func TestLargeRegionPromotesTo2MAndBeyond(t *testing.T) {
 	}
 }
 
-func BenchmarkTPSFaultPath(b *testing.B) {
-	bud := buddy.New(1 << 20)
-	k := New(DefaultConfig(PolicyTPS), bud)
-	m := mmu.New(mmu.DefaultConfig(mmu.OrgTPS), k.Table(), nil, nil)
-	k.AttachMMU(m)
-	base, err := k.Mmap(uint64(b.N+1)*addr.BasePageSize, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Access(base+addr.Virt(i)*addr.BasePageSize, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestAggressiveSizingCoversHugeRegions(t *testing.T) {
 	// Regression: a request larger than the maximum tailored order must
 	// still be covered end to end (tiled at the cap), not truncated.
