@@ -168,3 +168,32 @@ func TestSchemeGridWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// TestCellFingerprintPinned pins the exact store fingerprint of one cell
+// per fingerprint-relevant flag. Any drift in the format silently changes
+// every store key, so -resume would recompute everything; a deliberate
+// format change must bump SimVersion and update these literals together.
+func TestCellFingerprintPinned(t *testing.T) {
+	e := newEngine(FigureConfig{Refs: 20_000, Seed: 42, MemoryPages: 1 << 22}.withDefaults())
+	cases := []struct {
+		name string
+		k    runKey
+		want string
+	}{
+		{"tps", runKey{name: "gups", setup: SetupTPS},
+			"tps-sim-v2|refs=20000|seed=42|mem=4194304|w=gups|scheme=tps|smt=false|virt=false|frag=false|cyc=false|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0"},
+		{"frag", runKey{name: "mcf", setup: SetupTHP, frag: true},
+			"tps-sim-v2|refs=20000|seed=42|mem=4194304|w=mcf|scheme=thp|smt=false|virt=false|frag=true|cyc=false|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0"},
+		{"smt", runKey{name: "gcc", setup: SetupTPS, smt: true},
+			"tps-sim-v2|refs=20000|seed=42|mem=4194304|w=gcc|scheme=tps|smt=true|virt=false|frag=false|cyc=false|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0"},
+		{"cyc", runKey{name: "xz", setup: SetupBase4K, cyc: true},
+			"tps-sim-v2|refs=20000|seed=42|mem=4194304|w=xz|scheme=base4k|smt=false|virt=false|frag=false|cyc=true|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0"},
+		{"virt", runKey{name: "graph500", setup: SetupTPS, virt: true, threshold: 0.5},
+			"tps-sim-v2|refs=20000|seed=42|mem=4194304|w=graph500|scheme=tps|smt=false|virt=true|frag=false|cyc=false|thr=0.5|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0"},
+	}
+	for _, c := range cases {
+		if got := e.fingerprint(c.k); got != c.want {
+			t.Errorf("%s: fingerprint\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
