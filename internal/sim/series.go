@@ -6,22 +6,10 @@ package sim
 // OnRefs hook — and snapshots the machine's cumulative counters into a
 // preallocated ring whenever the stream crosses an epoch boundary. The
 // hot-path invariants survive untouched: zero steady-state allocations
-// (the probe writes into a reusable Point through closures bound at
-// construction), no atomics beyond the existing one-per-batch telemetry
-// add, and no effect whatsoever on modeled statistics — sampling only
-// reads counters, so golden stdout is byte-identical with -series on or
-// off.
-//
-// Under sharding the SAMPLER lives in the router, not the replicas
-// (newShardedMachine clears SeriesEvery in the replica options): each
-// probe drains the workers through the existing barrier and then reads
-// every replica directly, summing into one Point. Because the barrier
-// pins the probe to an exact global stream position — the router advances
-// by whole producer batches, identical to the serial machine's — the
-// epoch grid (the Refs column) of a sharded series matches the serial
-// one exactly. The VALUES deviate from serial by the documented sharded
-// amounts (per-replica TLBs, stripe-capped pages; DESIGN.md), but two
-// sharded runs with the same options are bit-identical.
+// (the machine's counters are read into a reusable Point), no atomics
+// beyond the existing one-per-batch telemetry add, and no effect
+// whatsoever on modeled statistics — sampling only reads counters, so
+// golden stdout is byte-identical with -series on or off.
 
 import (
 	"tps/internal/telemetry/series"
@@ -35,12 +23,12 @@ type seriesSampler struct {
 	refs  uint64 // references seen so far
 	taken uint64 // stream position of the last sample (final-point dedup)
 
-	ring  *series.Ring
-	cur   series.Point        // reusable snapshot target: probes write here
-	probe func(*series.Point) // bound once at construction — no per-sample closure
+	ring *series.Ring
+	cur  series.Point // reusable snapshot target
+	m    *machine     // the sampled machine
 }
 
-func newSeriesSampler(every uint64, probe func(*series.Point)) *seriesSampler {
+func newSeriesSampler(every uint64, m *machine) *seriesSampler {
 	if every == 0 {
 		return nil
 	}
@@ -48,7 +36,7 @@ func newSeriesSampler(every uint64, probe func(*series.Point)) *seriesSampler {
 		every: every,
 		next:  every,
 		ring:  series.NewRing(every, series.DefaultRingCap),
-		probe: probe,
+		m:     m,
 	}
 }
 
@@ -80,7 +68,7 @@ func (s *seriesSampler) advance(n uint64) {
 // take snapshots the machine into the ring at the current position.
 func (s *seriesSampler) take() {
 	s.cur = series.Point{Refs: s.refs}
-	s.probe(&s.cur)
+	s.m.sampleInto(&s.cur)
 	s.ring.Push(s.cur)
 	s.taken = s.refs
 }
@@ -97,8 +85,7 @@ func (s *seriesSampler) flush(sink func(points []series.Point, every uint64)) {
 	sink(s.ring.Points(), s.ring.Every())
 }
 
-// sampleInto accumulates this machine's cumulative counters into p —
-// the serial probe, and the per-replica summand of the sharded probe.
+// sampleInto accumulates this machine's cumulative counters into p.
 func (m *machine) sampleInto(p *series.Point) {
 	for _, pr := range m.procs {
 		ms := pr.mmu.Stats()

@@ -43,6 +43,45 @@ func BenchmarkFault(b *testing.B) {
 	}
 }
 
+// BenchmarkPromotion measures ns per TPS promotion. Every even page of a
+// 256 MB region is faulted in with the timer stopped; each timed op then
+// faults the next odd page, which completes at least the aligned pair
+// around it, so every op promotes (the 4-, 8-, ... page blocks it also
+// completes cascade inside the same op). The untimed half-population
+// completes no block, so promotions/op counts only timed promotions and
+// ns/op can be read per promotion.
+func BenchmarkPromotion(b *testing.B) {
+	const regionPages = 1 << 16
+	k := New(DefaultConfig(PolicyTPS), buddy.New(cellPages))
+	var base addr.Virt
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		odd := i % (regionPages / 2)
+		if odd == 0 {
+			b.StopTimer()
+			if base != 0 {
+				if err := k.Munmap(base); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var err error
+			if base, err = k.Mmap(regionPages*addr.BasePageSize, 0); err != nil {
+				b.Fatal(err)
+			}
+			for page := 0; page < regionPages; page += 2 {
+				if err := k.Fault(base+addr.Virt(page)*addr.BasePageSize, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := k.Fault(base+addr.Virt(2*odd+1)*addr.BasePageSize, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(k.Stats().Promotions)/float64(b.N), "promotions/op")
+}
+
 // BenchmarkEagerMmap measures what an eagerly mapped cell pays before its
 // first reference: a fresh 16 GB allocator, a kernel, and one 4 GB Mmap.
 // THP only reserves; 2M-only and TPS-eager also install every page.

@@ -83,7 +83,7 @@ type Kernel struct {
 
 	// promosByOrder resolves stats.Promotions by target page order.
 	// Observability only (the epoch time-series): deliberately outside
-	// Stats so the Result schema, the store fingerprint, and the SMT/shard
+	// Stats so the Result schema, the store fingerprint, and the SMT
 	// merge arithmetic stay untouched.
 	promosByOrder [addr.MaxOrder + 1]uint64
 }

@@ -9,12 +9,8 @@
 #    The series-sampling variants (RefLoopSeries) must additionally stay
 #    within 5% of the plain loop: epoch sampling reads counters at epoch
 #    boundaries and may not tax the per-reference path.
-# 2. Runs the golden figure check with -shards > 1: a -shards 1 run must
-#    be byte-identical to the checked-in serial golden (the flag's serial
-#    path IS the serial runner), and two -shards 2 runs of the full -all
-#    surface must be byte-identical to each other (sharded statistics
-#    deviate from serial by design — see DESIGN.md — but must be exactly
-#    reproducible).
+# 2. Runs the CLI golden check: the figures binary's Fig 10 output must be
+#    byte-identical to the checked-in golden.
 #
 #   scripts/bench_guard.sh
 set -euo pipefail
@@ -80,22 +76,13 @@ for scheme in thp tps; do
 done
 [ "$fail" = 0 ] || exit 1
 
-# --- 2. golden check with shards ---------------------------------------
+# --- 2. CLI golden check -----------------------------------------------
 workdir="$(mktemp -d)"
 trap 'rm -f "$raw"; rm -rf "$workdir"' EXIT
 go build -o "$workdir/figures" ./cmd/figures
 
-# -shards 1 must be the serial runner exactly: byte-identical to the
-# checked-in golden (which Println terminates with one extra newline).
-"$workdir/figures" -fig 10 -refs 20000 -suite gcc,leela -progress=false -shards 1 \
-    > "$workdir/shards1.out"
-{ cat testdata/fig10_refs20000_seed42.golden; echo; } | cmp - "$workdir/shards1.out"
-echo "bench_guard: -shards 1 output matches serial golden" >&2
-
-# -shards 2 across the whole -all surface: deterministic, byte for byte.
-"$workdir/figures" -all -refs 6000 -suite gcc,leela -progress=false -shards 2 \
-    > "$workdir/shards2a.out"
-"$workdir/figures" -all -refs 6000 -suite gcc,leela -progress=false -shards 2 \
-    > "$workdir/shards2b.out"
-cmp "$workdir/shards2a.out" "$workdir/shards2b.out"
-echo "bench_guard: two -all -shards 2 runs are byte-identical" >&2
+# The golden file lacks the extra newline Println terminates stdout with.
+"$workdir/figures" -fig 10 -refs 20000 -suite gcc,leela -progress=false \
+    > "$workdir/fig10.out"
+{ cat testdata/fig10_refs20000_seed42.golden; echo; } | cmp - "$workdir/fig10.out"
+echo "bench_guard: figures -fig 10 output matches the golden" >&2
