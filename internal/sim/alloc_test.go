@@ -11,6 +11,9 @@ package sim
 import (
 	"sync/atomic"
 	"testing"
+
+	"tps/internal/addr"
+	"tps/internal/trace"
 )
 
 func allocsPerBatch(t *testing.T, opts Options) float64 {
@@ -80,5 +83,41 @@ func TestRefBatchSteadyStateAllocsVariants(t *testing.T) {
 				t.Fatalf("steady-state RefBatch allocates %.2f allocs/op, want 0", got)
 			}
 		})
+	}
+}
+
+// TestSMTSinkSteadyStateAllocs: an SMT sibling's sink hands batches,
+// mmap requests and phase markers to the scheduler without allocating —
+// batches go through the thread's two recycled buffers and mmap results
+// through its one reply channel.
+func TestSMTSinkSteadyStateAllocs(t *testing.T) {
+	th := &smtThread{
+		events: make(chan smtEvent),
+		reply:  make(chan addr.Virt, 1),
+		quit:   make(chan struct{}),
+	}
+	scheduled := make(chan struct{})
+	go func() { // a stand-in scheduler: consume every event, answer mmaps
+		defer close(scheduled)
+		for ev := range th.events {
+			if ev.kind == smtMmap {
+				th.reply <- addr.Virt(ev.size)
+			}
+		}
+	}()
+	batch := make([]trace.Ref, 512)
+	got := testing.AllocsPerRun(200, func() {
+		if err := th.RefBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.Mmap(addr.BasePageSize); err != nil {
+			t.Fatal(err)
+		}
+		th.Phase(trace.MainPhase)
+	})
+	close(th.events)
+	<-scheduled
+	if got != 0 {
+		t.Fatalf("SMT sink allocates %.2f allocs per batch+mmap+phase, want 0", got)
 	}
 }

@@ -612,8 +612,7 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 		}
 	} else {
 		// Batch the generator's per-Ref stream so the machine consumes
-		// references a slice at a time (the SMT scheduler interleaves at
-		// reference granularity and stays per-Ref).
+		// references a slice at a time.
 		b := trace.NewBatcher(counter)
 		if err := w.Run(b, opts.Refs, opts.Seed); err != nil {
 			return Result{}, err
@@ -722,11 +721,17 @@ func addCoLT(a, b colt.Stats) colt.Stats {
 
 // runSMT interleaves two copies of the workload (seeds s and s+1000)
 // through one machine in fixed quanta, modeling an SMT sibling competing
-// for TLB resources (Figs. 2 and 14). Producers run in goroutines and
-// block on unbuffered channels, so the interleave is deterministic. When a
-// run aborts (a failed reference or mmap on either sibling), the shared
-// quit channel releases any producer blocked on a send and both producers
-// are joined before returning — no goroutine outlives the run.
+// for TLB resources (Figs. 2 and 14). Each sibling's generator runs in a
+// goroutine and hands the scheduler one ordered event stream: batches of
+// references, mmap requests and phase markers. The scheduler deals each
+// thread quantum references at a time from a cursor into its current
+// batch, and handles an mmap or phase event when the cursor reaches it
+// without counting it against the quantum — so the interleave depends
+// only on the two streams, never on where batches happen to split. When
+// a run aborts (a failed reference or mmap on either sibling, or a
+// canceled context), the shared quit channel releases any producer
+// blocked on a send and both producers are joined before returning — no
+// goroutine outlives the run.
 func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts Options) error {
 	const quantum = 8
 	quit := make(chan struct{})
@@ -735,13 +740,13 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 		startSMTThread(w, opts.Seed+1000, opts.Refs/2, quit),
 	}
 	// join reaps both producers: once quit is closed (or the streams have
-	// ended) each one is guaranteed to finish, close its refs channel, and
-	// report on done. Aborted producers return errSMTAborted, which is the
-	// scheduler's doing, not a failure of their own.
+	// ended) each one is guaranteed to finish, close its event channel,
+	// and report on done. Aborted producers return errSMTAborted, which is
+	// the scheduler's doing, not a failure of their own.
 	join := func() error {
 		var first error
 		for _, t := range threads {
-			for range t.refs { // discard an in-flight send, then the close
+			for range t.events { // discard an in-flight send, then the close
 			}
 			if err := <-t.done; err != nil && !errors.Is(err, errSMTAborted) && first == nil {
 				first = err
@@ -756,6 +761,7 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 	}
 	live := 2
 	alive := [2]bool{true, true}
+	var cur [2][]trace.Ref // each thread's undelivered refs of its current batch
 	mainAnnounced := 0
 	var batched uint64 // refs delivered this round, for the telemetry hook
 	for live > 0 {
@@ -778,40 +784,48 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 				continue
 			}
 			for q := 0; q < quantum; {
-				select {
-				case r, ok := <-t.refs:
+				if len(cur[i]) == 0 {
+					ev, ok := <-t.events
 					if !ok {
 						alive[i] = false
 						live--
-						q = quantum
-						continue
+						break
 					}
+					switch ev.kind {
+					case smtBatch:
+						cur[i] = ev.refs
+					case smtMmap:
+						base, err := m.mmapAs(i, ev.size)
+						if err != nil {
+							return fail(err)
+						}
+						t.reply <- base
+					case smtPhase:
+						// Measurement starts once both siblings reach
+						// their main phase.
+						if ev.phase == trace.MainPhase {
+							mainAnnounced++
+							if mainAnnounced == 2 {
+								trace.AnnouncePhase(counter, ev.phase)
+							}
+						}
+					}
+					continue
+				}
+				n := min(quantum-q, len(cur[i]))
+				for _, r := range cur[i][:n] {
 					counter.Refs++
 					counter.Instructions += uint64(r.Gap) + 1
 					if r.Write {
 						counter.Writes++
 					}
-					batched++
 					if err := m.refAs(i, r); err != nil {
 						return fail(err)
 					}
-					q++
-				case req := <-t.mmaps:
-					base, err := m.mmapAs(i, req.size)
-					if err != nil {
-						return fail(err)
-					}
-					req.reply <- base
-				case name := <-t.phases:
-					// Measurement starts once both siblings reach their
-					// main phase.
-					if name == trace.MainPhase {
-						mainAnnounced++
-						if mainAnnounced == 2 {
-							trace.AnnouncePhase(counter, name)
-						}
-					}
 				}
+				cur[i] = cur[i][n:]
+				q += n
+				batched += uint64(n)
 			}
 		}
 	}
@@ -824,18 +838,41 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 	return join()
 }
 
-// smtThread is one SMT sibling's event channels.
-type smtThread struct {
-	refs   chan trace.Ref
-	mmaps  chan mmapReq
-	phases chan string
-	done   chan error
-	quit   chan struct{} // closed by the scheduler to abandon the run
+// smtEventKind tags an entry of a sibling's event stream.
+type smtEventKind uint8
+
+const (
+	smtBatch smtEventKind = iota // a batch of references
+	smtMmap                      // an mmap request; the scheduler answers on reply
+	smtPhase                     // a phase marker
+)
+
+// smtEvent is one entry of a sibling's event stream.
+type smtEvent struct {
+	kind  smtEventKind
+	refs  []trace.Ref // smtBatch: one of the producer's two batch buffers
+	size  uint64      // smtMmap: the requested mapping size
+	phase string      // smtPhase: the phase name
 }
 
-type mmapReq struct {
-	size  uint64
+// smtThread is one SMT sibling's event stream. Its sink methods run on
+// the producer's goroutine (behind a trace.Batcher); the scheduler only
+// receives from events and sends on reply.
+type smtThread struct {
+	// events is unbuffered: the scheduler receives an event only once its
+	// cursor has delivered every reference of the batch before it.
+	events chan smtEvent
+	// reply carries mmap results. Its one slot lets the scheduler answer
+	// without waiting for the producer to reach its receive.
 	reply chan addr.Virt
+	done  chan error
+	quit  chan struct{} // closed by the scheduler to abandon the run
+
+	// bufs are the batch buffers, used in turn. The producer refills one
+	// only after a later event's send has completed, and the scheduler
+	// takes that event only after finishing the batch the buffer held.
+	bufs [2][]trace.Ref
+	next int
 }
 
 // errSMTAborted is returned into a producer whose run the scheduler
@@ -846,68 +883,91 @@ var errSMTAborted = errors.New("sim: smt run aborted")
 // the scheduler.
 func startSMTThread(w workload.Workload, seed int64, refs uint64, quit chan struct{}) *smtThread {
 	t := &smtThread{
-		refs:   make(chan trace.Ref),
-		mmaps:  make(chan mmapReq),
-		phases: make(chan string),
+		events: make(chan smtEvent),
+		reply:  make(chan addr.Virt, 1),
 		done:   make(chan error, 1),
 		quit:   quit,
 	}
 	go func() {
-		err := w.Run(&smtSink{t: t}, refs, seed)
-		close(t.refs)
+		b := trace.NewBatcher(t)
+		err := w.Run(b, refs, seed)
+		if err == nil {
+			err = b.Flush()
+		}
+		close(t.events)
 		t.done <- err
 	}()
 	return t
 }
 
-// smtSink adapts one SMT thread's workload callbacks onto the scheduler's
-// channels. Every send pairs with the quit channel so an abandoned
-// producer unblocks instead of leaking.
-type smtSink struct {
-	t *smtThread
+// aborted reports whether the scheduler has abandoned the run. The sink
+// methods check it first so an abandoned producer stops at once rather
+// than racing the scheduler's drain loop one send at a time.
+func (t *smtThread) aborted() bool {
+	select {
+	case <-t.quit:
+		return true
+	default:
+		return false
+	}
 }
 
-func (s *smtSink) Mmap(size uint64) (addr.Virt, error) {
-	// The reply channel is buffered so the scheduler's response can never
-	// block, even if this producer has already been quit.
-	req := mmapReq{size: size, reply: make(chan addr.Virt, 1)}
+// send delivers one event, or gives up once the run is abandoned.
+func (t *smtThread) send(ev smtEvent) error {
 	select {
-	case s.t.mmaps <- req:
-	case <-s.t.quit:
+	case t.events <- ev:
+		return nil
+	case <-t.quit:
+		return errSMTAborted
+	}
+}
+
+// Mmap implements trace.Sink: the scheduler performs the mapping when its
+// cursor reaches the request.
+func (t *smtThread) Mmap(size uint64) (addr.Virt, error) {
+	// An earlier Mmap that gave up on quit may have left its reply in the
+	// slot; the aborted check keeps any later call from reading it.
+	if t.aborted() {
 		return 0, errSMTAborted
 	}
+	if err := t.send(smtEvent{kind: smtMmap, size: size}); err != nil {
+		return 0, err
+	}
 	select {
-	case base := <-req.reply:
+	case base := <-t.reply:
 		return base, nil
-	case <-s.t.quit:
+	case <-t.quit:
 		return 0, errSMTAborted
 	}
 }
 
-func (s *smtSink) Munmap(base addr.Virt) error {
+func (t *smtThread) Munmap(base addr.Virt) error {
 	return fmt.Errorf("sim: munmap unsupported under SMT")
 }
 
-func (s *smtSink) Ref(r trace.Ref) error {
-	// Fast path: once quit closes, stop immediately rather than racing the
-	// scheduler's drain loop one send at a time.
-	select {
-	case <-s.t.quit:
-		return errSMTAborted
-	default:
-	}
-	select {
-	case s.t.refs <- r:
-		return nil
-	case <-s.t.quit:
-		return errSMTAborted
-	}
+// Ref implements trace.Sink. Generators reach the thread through a
+// Batcher, which delivers references by RefBatch only.
+func (t *smtThread) Ref(r trace.Ref) error {
+	return t.RefBatch([]trace.Ref{r})
 }
 
-// Phase implements trace.PhaseSink.
-func (s *smtSink) Phase(name string) {
-	select {
-	case s.t.phases <- name:
-	case <-s.t.quit:
+// RefBatch implements trace.BatchSink: the references are copied into the
+// next batch buffer, since the Batcher reuses its own once this returns.
+func (t *smtThread) RefBatch(refs []trace.Ref) error {
+	if t.aborted() {
+		return errSMTAborted
 	}
+	buf := append(t.bufs[t.next][:0], refs...)
+	t.bufs[t.next] = buf
+	if err := t.send(smtEvent{kind: smtBatch, refs: buf}); err != nil {
+		return err
+	}
+	t.next ^= 1
+	return nil
+}
+
+// Phase implements trace.PhaseSink. A marker cannot fail: an abandoned
+// producer learns of the abort at its next RefBatch or Mmap.
+func (t *smtThread) Phase(name string) {
+	_ = t.send(smtEvent{kind: smtPhase, phase: name})
 }
