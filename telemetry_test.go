@@ -18,19 +18,6 @@ import (
 	"tps/internal/telemetry"
 )
 
-func goldenSuite(t *testing.T) []Workload {
-	t.Helper()
-	var suite []Workload
-	for _, name := range []string{"gcc", "leela"} {
-		w, ok := WorkloadByName(name)
-		if !ok {
-			t.Fatalf("%s missing from catalog", name)
-		}
-		suite = append(suite, w)
-	}
-	return suite
-}
-
 // TestFig10GoldenWithTelemetry: rendering must not depend on whether the
 // run is observed. Same figure, telemetry enabled with an events sink,
 // compared against the same golden file as the unobserved run.
