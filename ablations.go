@@ -30,7 +30,7 @@ func (r *Runner) ablationSuite() []Workload {
 // run.
 func (r *Runner) ablationRun(w Workload, mutate func(*Options)) (Result, error) {
 	opts := Options{
-		Setup:       SetupTPS,
+		Scheme:      "tps",
 		Refs:        r.cfg.Refs,
 		Seed:        r.cfg.Seed,
 		MemoryPages: r.cfg.MemoryPages,
@@ -86,7 +86,7 @@ func (r *Runner) AblationPromotionThreshold() (*Table, error) {
 	}
 	densities := []float64{0.9, 0.6}
 	thresholds := []float64{0.5, 0.75, 1.0}
-	base4K := func(o *Options) { o.Setup = SetupBase4K }
+	base4K := func(o *Options) { o.Scheme = "base4k" }
 	atThreshold := func(th float64) func(*Options) {
 		return func(o *Options) { o.PromotionThreshold = th }
 	}
@@ -231,9 +231,9 @@ func (r *Runner) AblationFiveLevel() (*Table, error) {
 		return nil, err
 	}
 	suite := r.ablationSuite()
-	run5 := func(w Workload, setup Setup) (Result, error) {
+	run5 := func(w Workload, sch string) (Result, error) {
 		opts := Options{
-			Setup: setup, Refs: r.cfg.Refs, Seed: r.cfg.Seed,
+			Scheme: sch, Refs: r.cfg.Refs, Seed: r.cfg.Seed,
 			MemoryPages: r.cfg.MemoryPages, Levels: addr.Levels5,
 		}
 		return r.runOpts(w, opts, false)
@@ -242,21 +242,21 @@ func (r *Runner) AblationFiveLevel() (*Table, error) {
 	for _, w := range suite {
 		w := w
 		warm = append(warm,
-			func() { r.run(w, SetupTHP, runFlags{}) },
-			func() { run5(w, SetupTHP) },
-			func() { run5(w, SetupTPS) })
+			func() { r.run(w, "thp", runFlags{}) },
+			func() { run5(w, "thp") },
+			func() { run5(w, "tps") })
 	}
 	r.warm(warm...)
 	for _, w := range suite {
-		thp4, err := r.run(w, SetupTHP, runFlags{})
+		thp4, err := r.run(w, "thp", runFlags{})
 		if err != nil {
 			return nil, err
 		}
-		thp5, err := run5(w, SetupTHP)
+		thp5, err := run5(w, "thp")
 		if err != nil {
 			return nil, err
 		}
-		tps5, err := run5(w, SetupTPS)
+		tps5, err := run5(w, "tps")
 		if err != nil {
 			return nil, err
 		}

@@ -218,14 +218,14 @@ func run() (code int) {
 	// Scheme names resolve against the registry up front: an unknown name
 	// is a usage error listing the registered vocabulary, never a silent
 	// fall-through to a default scheme.
-	var gridSetups []tps.Setup
+	var gridSchemes []string
 	if *schemes != "" {
 		names := tps.SchemeNames()
 		if !strings.EqualFold(*schemes, "all") {
 			names = strings.Split(*schemes, ",")
 		}
 		var err error
-		if gridSetups, err = tps.SchemesByName(names); err != nil {
+		if gridSchemes, err = tps.SchemesByName(names); err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 			return 2
 		}
@@ -345,8 +345,8 @@ func run() (code int) {
 				return fail(runErr)
 			}
 		}
-		if gridSetups != nil {
-			if runErr = render(func() (*tps.Table, error) { return r.SchemeGrid(gridSetups) }); runErr != nil {
+		if gridSchemes != nil {
+			if runErr = render(func() (*tps.Table, error) { return r.SchemeGrid(gridSchemes) }); runErr != nil {
 				return fail(runErr)
 			}
 		}
@@ -354,8 +354,8 @@ func run() (code int) {
 		if runErr = runAblations(r); runErr != nil {
 			return fail(runErr)
 		}
-	case gridSetups != nil:
-		if runErr = render(func() (*tps.Table, error) { return r.SchemeGrid(gridSetups) }); runErr != nil {
+	case gridSchemes != nil:
+		if runErr = render(func() (*tps.Table, error) { return r.SchemeGrid(gridSchemes) }); runErr != nil {
 			return fail(runErr)
 		}
 	case *fig != 0:

@@ -78,7 +78,7 @@ func run() int {
 	if !strings.EqualFold(*schemes, "all") {
 		names = strings.Split(*schemes, ",")
 	}
-	setups, err := tps.SchemesByName(names)
+	gridSchemes, err := tps.SchemesByName(names)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpsfarm: %v\n", err)
 		return 2
@@ -97,7 +97,7 @@ func run() int {
 
 	// The grid, in table order, with each cell's content address — the
 	// identity every worker and every store-resident result agrees on.
-	specs := tps.FleetCells(cfg, setups)
+	specs := tps.FleetCells(cfg, gridSchemes)
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
 		if keys[i], err = tps.SpecKey(spec); err != nil {
@@ -222,7 +222,7 @@ func run() int {
 	// Assemble the table exactly as figures does, pulling each cell from
 	// the fleet as it lands. Rows stream to stderr in row order while
 	// later cells are still being computed elsewhere.
-	t := tps.SchemeGridTable(setups)
+	t := tps.SchemeGridTable(gridSchemes)
 	if *progress {
 		t.Stream = os.Stderr
 		t.StreamNote = func() string {
@@ -235,8 +235,8 @@ func run() int {
 	for i, spec := range specs {
 		keyOf[spec.Workload+"|"+spec.Scheme] = keys[i]
 	}
-	tbl, err := tps.FillSchemeGrid(t, cfgSuite(cfg), setups, func(w tps.Workload, s tps.Setup) (tps.Result, error) {
-		raw, err := coord.WaitResult(ctx, keyOf[w.Name+"|"+s.SchemeName()])
+	tbl, err := tps.FillSchemeGrid(t, cfgSuite(cfg), gridSchemes, func(w tps.Workload, s string) (tps.Result, error) {
+		raw, err := coord.WaitResult(ctx, keyOf[w.Name+"|"+s])
 		if err != nil {
 			return tps.Result{}, err
 		}

@@ -19,13 +19,14 @@ import (
 	"tps"
 	"tps/internal/addr"
 	"tps/internal/fragstate"
+	"tps/internal/scheme"
 	"tps/internal/telemetry/series"
 )
 
 func main() {
 	var (
 		name      = flag.String("workload", "gups", "benchmark name (see -list)")
-		setupName = flag.String("setup", "tps", "translation scheme by registry name (see error output for the list); legacy aliases 4k/base/eager/2m accepted")
+		schemeArg = flag.String("setup", "tps", "translation scheme by registry name (see error output for the list); legacy aliases 4k/base/eager/2m accepted")
 		refs      = flag.Uint64("refs", 1<<20, "measured references")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		memGB     = flag.Uint64("mem", 16, "physical memory in GB")
@@ -57,15 +58,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *name)
 		os.Exit(1)
 	}
-	setup, ok := parseSetup(*setupName)
+	sch, ok := parseScheme(*schemeArg)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q (registered: %s)\n",
-			*setupName, strings.Join(tps.SchemeNames(), ", "))
+			*schemeArg, strings.Join(tps.SchemeNames(), ", "))
 		os.Exit(1)
 	}
 
 	opts := tps.Options{
-		Setup:              setup,
+		Scheme:             sch.Name(),
 		Refs:               *refs,
 		Seed:               *seed,
 		MemoryPages:        *memGB << (30 - addr.BasePageShift),
@@ -90,7 +91,7 @@ func main() {
 		if opts.SeriesEvery == 0 {
 			opts.SeriesEvery = series.DefaultEvery
 		}
-		meta := series.Meta{Workload: w.Name, Scheme: setup.SchemeName(), Seed: *seed}
+		meta := series.Meta{Workload: w.Name, Scheme: sch.Name(), Seed: *seed}
 		opts.OnSeries = func(pts []series.Point, every uint64) {
 			seriesLog.WriteCell(meta, every, pts)
 		}
@@ -107,12 +108,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	report(res)
+	report(res, sch.Label())
 }
 
-// parseSetup resolves a scheme by its registry name, keeping the historic
+// parseScheme resolves a scheme by its registry name, keeping the historic
 // command-line aliases as a thin pre-translation layer.
-func parseSetup(s string) (tps.Setup, bool) {
+func parseScheme(s string) (scheme.Scheme, bool) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "4k", "base":
 		s = "base4k"
@@ -121,12 +122,12 @@ func parseSetup(s string) (tps.Setup, bool) {
 	case "2m":
 		s = "2m-only"
 	}
-	return tps.SetupByName(s)
+	return scheme.Lookup(s)
 }
 
-func report(res tps.Result) {
+func report(res tps.Result, label string) {
 	m := res.MMU
-	fmt.Printf("workload   %s\nmechanism  %v\n\n", res.Workload, res.Setup)
+	fmt.Printf("workload   %s\nmechanism  %s\n\n", res.Workload, label)
 	fmt.Printf("measured refs        %12d\ninstructions         %12d\n\n", res.Refs, res.Instructions)
 	fmt.Printf("L1 DTLB accesses     %12d\nL1 DTLB hits         %12d (%.2f%%)\nL1 DTLB misses       %12d\nL1 DTLB MPKI         %12.2f\n\n",
 		m.Accesses, m.L1Hits, 100*pct(m.L1Hits, m.Accesses), m.L1Misses, res.L1MPKI)

@@ -46,6 +46,7 @@ import (
 
 	"tps"
 	"tps/internal/fabric"
+	"tps/internal/scheme"
 	"tps/internal/store"
 	"tps/internal/telemetry"
 	"tps/internal/telemetry/span"
@@ -236,10 +237,16 @@ func (w *worker) loop(ctx context.Context, slot int) error {
 // it. Cancellation mid-cell completes nothing: the lease expires on its
 // own and re-dispatches.
 func (w *worker) runLease(ctx context.Context, slot int, lease *fabric.Lease) {
+	// The display label comes from the registry, as in figures -events,
+	// so tpsreport sees one spelling per cell whichever process ran it.
+	label := lease.Spec.Scheme
+	if sch, ok := scheme.Lookup(label); ok {
+		label = sch.Label()
+	}
 	ci := telemetry.CellInfo{
 		Key:      lease.Key,
 		Workload: lease.Spec.Workload,
-		Setup:    lease.Spec.Scheme,
+		Setup:    label,
 		Scheme:   lease.Spec.Scheme,
 		Gen:      lease.Generation,
 	}

@@ -59,24 +59,26 @@ type flight struct {
 type CellError struct {
 	Key      string // content address of the cell in the result store
 	Workload string
-	Setup    Setup
+	Scheme   string // registry name
 	Panic    any    // the recovered panic value
 	Stack    []byte // stack of the panicking goroutine
 }
 
 // Error summarizes the contained panic; the full stack is in Stack.
 func (e *CellError) Error() string {
-	return fmt.Sprintf("cell %s/%v panicked: %v", e.Workload, e.Setup, e.Panic)
+	return fmt.Sprintf("cell %s/%s panicked: %v", e.Workload, schemeLabel(e.Scheme), e.Panic)
 }
 
 // SimVersion fingerprints the simulator revision into every store key
 // and into run manifests. Bump it whenever a change intentionally alters
 // modeled statistics or the key schema, so stale persisted cells miss
 // (and recompute) instead of resurrecting old numbers into new runs.
-// v2: cells are keyed by stable scheme name instead of Setup ordinal
+// v2: cells are keyed by stable scheme name instead of an enum ordinal
 // (ordinal keys silently remapped across enum edits), and Result gained
 // the Scheme field.
-const SimVersion = "tps-sim-v2"
+// v3: Result dropped its ordinal Setup field; the registry name in
+// Result.Scheme is a scheme's only identity.
+const SimVersion = "tps-sim-v3"
 
 // newEngine sizes the worker pool; cfg.Parallelism <= 0 means GOMAXPROCS.
 // cfg must already carry its defaults (NewRunner applies them).
@@ -109,8 +111,8 @@ func (e *engine) cellInfo(k runKey) telemetry.CellInfo {
 	return telemetry.CellInfo{
 		Key:      e.cellKey(k),
 		Workload: k.name,
-		Setup:    k.setup.String(),
-		Scheme:   k.setup.SchemeName(),
+		Setup:    schemeLabel(k.scheme),
+		Scheme:   k.scheme,
 	}
 }
 
@@ -235,7 +237,7 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 			err = &CellError{
 				Key:      e.cellKey(key),
 				Workload: key.name,
-				Setup:    key.setup,
+				Scheme:   key.scheme,
 				Panic:    p,
 				Stack:    debug.Stack(),
 			}
@@ -248,9 +250,9 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 // plus the run-wide knobs (refs, seed, memory) and the simulator
 // version salt — as the stable string the store key hashes. Two cells
 // share a fingerprint exactly when their Results must be identical.
-// The setup is identified by its stable scheme-registry name, never its
-// enum ordinal: ordinals shift when the Setup list is reordered or grows
-// mid-list, which would silently remap persisted results across schemes.
+// The scheme is identified by its canonical registry name, its only
+// identity: nothing ordinal reaches the key, so registering, reordering or
+// removing backends never remaps persisted results across schemes.
 //
 // This is a package-level function (not an engine method) because it is
 // the fleet's dedup key too: SpecKey derives the identical fingerprint
@@ -259,7 +261,7 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 func cellFingerprint(refs uint64, seed int64, mem uint64, k runKey) string {
 	return fmt.Sprintf("%s|refs=%d|seed=%d|mem=%d|w=%s|scheme=%s|smt=%t|virt=%t|frag=%t|cyc=%t|thr=%g|sizing=%d|alias=%d|cfail=%t|lvl=%d|tlbe=%d|skew=%t|ce=%d",
 		SimVersion, refs, seed, mem,
-		k.name, k.setup.SchemeName(), k.smt, k.virt, k.frag, k.cyc,
+		k.name, k.scheme, k.smt, k.virt, k.frag, k.cyc,
 		k.threshold, k.sizing, k.alias, k.compactFail,
 		k.levels, k.tlbEntries, k.skewed, k.compactEvery)
 }
@@ -291,7 +293,7 @@ func (e *engine) replay(k runKey) (Result, bool) {
 	}
 	res, err := decodeResult(data)
 	if err != nil {
-		e.warnOnce("result store entry for %s/%v undecodable, recomputing (%v)", k.name, k.setup, err)
+		e.warnOnce("result store entry for %s/%s undecodable, recomputing (%v)", k.name, k.scheme, err)
 		e.tel.CellStoreMiss()
 		return Result{}, false
 	}
@@ -386,14 +388,14 @@ func (r *Runner) warm(runs ...func()) {
 	wg.Wait()
 }
 
-// warmSuite prefetches the workload×setup×flags grid of an upcoming figure.
-func (r *Runner) warmSuite(suite []Workload, setups []Setup, flags ...runFlags) {
+// warmSuite prefetches the workload×scheme×flags grid of an upcoming figure.
+func (r *Runner) warmSuite(suite []Workload, schemes []string, flags ...runFlags) {
 	if len(flags) == 0 {
 		flags = []runFlags{{}}
 	}
 	var runs []func()
 	for _, w := range suite {
-		for _, s := range setups {
+		for _, s := range schemes {
 			for _, f := range flags {
 				w, s, f := w, s, f
 				runs = append(runs, func() { r.run(w, s, f) })

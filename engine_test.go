@@ -20,7 +20,7 @@ import (
 func TestEngineSingleflight(t *testing.T) {
 	e := newEngine(FigureConfig{Parallelism: 4})
 	var calls int32
-	key := runKey{name: "x", setup: SetupTPS}
+	key := runKey{name: "x", scheme: "tps"}
 	var wg sync.WaitGroup
 	results := make([]Result, 8)
 	for i := 0; i < 8; i++ {
@@ -95,7 +95,7 @@ func TestEnginePanicContained(t *testing.T) {
 	const width = 2
 	e := newEngine(FigureConfig{Parallelism: width})
 	ctx := context.Background()
-	bad := runKey{name: "boom", setup: SetupTPS}
+	bad := runKey{name: "boom", scheme: "tps"}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -135,7 +135,7 @@ func TestEnginePanicContained(t *testing.T) {
 		if !errors.As(err, &cerr) {
 			t.Fatalf("caller %d: err=%v, want CellError", i, err)
 		}
-		if cerr.Workload != "boom" || cerr.Setup != SetupTPS {
+		if cerr.Workload != "boom" || cerr.Scheme != "tps" {
 			t.Errorf("CellError identity: %+v", cerr)
 		}
 		if cerr.Panic != "kaboom" || len(cerr.Stack) == 0 {
@@ -277,17 +277,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	// Cell-level Result values are identical too, not just formatting.
 	for _, w := range cfg.Suite {
-		for _, setup := range []Setup{SetupTHP, SetupTPS} {
-			sres, err := serial.run(w, setup, runFlags{})
+		for _, sch := range []string{"thp", "tps"} {
+			sres, err := serial.run(w, sch, runFlags{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := par.run(w, setup, runFlags{})
+			pres, err := par.run(w, sch, runFlags{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(sres, pres) {
-				t.Errorf("%s/%v: Result differs between serial and parallel", w.Name, setup)
+				t.Errorf("%s/%s: Result differs between serial and parallel", w.Name, sch)
 			}
 		}
 	}
@@ -383,7 +383,7 @@ func TestCancelMidFlight(t *testing.T) {
 	// Settle one cell up front so the canceled run is guaranteed to
 	// leave partial — not empty — store state behind.
 	seed := NewRunner(FigureConfig{Refs: refs, Suite: suite, Parallelism: 1, Store: st})
-	if _, err := seed.run(suite[0], SetupTHP, runFlags{}); err != nil {
+	if _, err := seed.run(suite[0], "thp", runFlags{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,8 +489,8 @@ func TestFaultyStoreStillCorrect(t *testing.T) {
 // exactly — resume byte-identity depends on it.
 func TestResultCodecRoundTrip(t *testing.T) {
 	w := smallSuite(t)[0]
-	for _, setup := range []Setup{SetupTPS, SetupRMM, SetupCoLT} {
-		res, err := Run(w, Options{Setup: setup, Refs: 20_000, Seed: 42, CycleModel: true})
+	for _, sch := range []string{"tps", "rmm", "colt"} {
+		res, err := Run(w, Options{Scheme: sch, Refs: 20_000, Seed: 42, CycleModel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, back) {
-			t.Errorf("%v: Result did not round-trip:\n%+v\nvs\n%+v", setup, res, back)
+			t.Errorf("%s: Result did not round-trip:\n%+v\nvs\n%+v", sch, res, back)
 		}
 	}
 	// Schema drift is a miss, not a partial fill.

@@ -31,12 +31,12 @@ func main() {
 		}
 		fmt.Printf("--- %s ---\n", label)
 
-		opts.Setup = tps.SetupTHP
+		opts.Scheme = "thp"
 		thp, err := tps.Run(w, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts.Setup = tps.SetupTPS
+		opts.Scheme = "tps"
 		res, err := tps.Run(w, opts)
 		if err != nil {
 			log.Fatal(err)

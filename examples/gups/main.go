@@ -18,19 +18,19 @@ func main() {
 		log.Fatal("gups not found")
 	}
 
-	setups := []tps.Setup{tps.SetupTHP, tps.SetupCoLT, tps.SetupRMM, tps.SetupTPS}
+	schemes := []string{"thp", "colt", "rmm", "tps"}
 	fmt.Printf("%-10s %14s %14s %12s\n", "mechanism", "L1 misses", "walk refs", "miss rate")
 
 	var baseline tps.Result
-	for i, s := range setups {
-		res, err := tps.Run(w, tps.Options{Setup: s, Refs: 400_000})
+	for i, s := range schemes {
+		res, err := tps.Run(w, tps.Options{Scheme: s, Refs: 400_000})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if i == 0 {
 			baseline = res
 		}
-		fmt.Printf("%-10v %14d %14d %11.2f%%\n",
+		fmt.Printf("%-10s %14d %14d %11.2f%%\n",
 			s, res.MMU.L1Misses, res.WalkMemRefs, 100*res.MMU.L1MissRatePerAccess())
 		if i > 0 {
 			fmt.Printf("%-10s   vs THP: %5.1f%% of L1 misses eliminated, %5.1f%% of walk refs\n", "",

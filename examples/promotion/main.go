@@ -18,7 +18,7 @@ func main() {
 	w := tps.SparseWorkload(1<<30, 0.6)
 
 	// The 4K-only run establishes the true touched footprint.
-	base, err := tps.Run(w, tps.Options{Setup: tps.SetupBase4K, Refs: 250_000})
+	base, err := tps.Run(w, tps.Options{Scheme: "base4k", Refs: 250_000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("%-10s %14s %9s %12s\n", "threshold", "mapped pages", "bloat", "L1 misses")
 	for _, th := range []float64{1.0, 0.9, 0.75, 0.5} {
 		res, err := tps.Run(w, tps.Options{
-			Setup:              tps.SetupTPS,
+			Scheme:             "tps",
 			Refs:               250_000,
 			PromotionThreshold: th,
 		})

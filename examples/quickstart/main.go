@@ -18,11 +18,11 @@ func main() {
 
 	// Run it twice: once over the reservation-based THP baseline, once
 	// with TPS. Refs counts measured (post-warmup) references.
-	baseline, err := tps.Run(w, tps.Options{Setup: tps.SetupTHP, Refs: 300_000})
+	baseline, err := tps.Run(w, tps.Options{Scheme: "thp", Refs: 300_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tailored, err := tps.Run(w, tps.Options{Setup: tps.SetupTPS, Refs: 300_000})
+	tailored, err := tps.Run(w, tps.Options{Scheme: "tps", Refs: 300_000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,17 +38,17 @@ func (r *Runner) ExtCompactionDaemon() (*Table, error) {
 	for _, w := range suite {
 		w := w
 		warm = append(warm,
-			func() { r.run(w, SetupTHP, runFlags{frag: true}) },
-			func() { r.run(w, SetupTPS, runFlags{frag: true}) },
+			func() { r.run(w, "thp", runFlags{frag: true}) },
+			func() { r.run(w, "tps", runFlags{frag: true}) },
 			func() { r.runCompactDaemon(w) })
 	}
 	r.warm(warm...)
 	for _, w := range suite {
-		thp, err := r.run(w, SetupTHP, runFlags{frag: true})
+		thp, err := r.run(w, "thp", runFlags{frag: true})
 		if err != nil {
 			return nil, err
 		}
-		plain, err := r.run(w, SetupTPS, runFlags{frag: true})
+		plain, err := r.run(w, "tps", runFlags{frag: true})
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func (r *Runner) ExtCompactionDaemon() (*Table, error) {
 // daemon firing four times across the measured window.
 func (r *Runner) runCompactDaemon(w Workload) (Result, error) {
 	opts := Options{
-		Setup:        SetupTPS,
+		Scheme:       "tps",
 		Refs:         r.cfg.Refs,
 		Seed:         r.cfg.Seed,
 		MemoryPages:  r.cfg.MemoryPages,

@@ -14,6 +14,7 @@ import (
 	"tps/internal/fragstate"
 	"tps/internal/mmu"
 	"tps/internal/pagetable"
+	"tps/internal/scheme"
 	"tps/internal/store"
 	"tps/internal/telemetry"
 	"tps/internal/telemetry/series"
@@ -130,7 +131,7 @@ type Runner struct {
 // Figs. 10/11/18 and several ablations, and executes once).
 type runKey struct {
 	name                 string
-	setup                Setup
+	scheme               string // canonical registry name
 	smt, virt, frag, cyc bool
 
 	// Ablation/extension knobs (zero for the standard figure cells).
@@ -173,9 +174,9 @@ func (r *Runner) stream(t *Table) {
 
 type runFlags struct{ smt, virt, frag, cyc bool }
 
-func (r *Runner) run(w Workload, setup Setup, f runFlags) (Result, error) {
+func (r *Runner) run(w Workload, sch string, f runFlags) (Result, error) {
 	opts := Options{
-		Setup:       setup,
+		Scheme:      sch,
 		Refs:        r.cfg.Refs,
 		Seed:        r.cfg.Seed,
 		MemoryPages: r.cfg.MemoryPages,
@@ -189,9 +190,14 @@ func (r *Runner) run(w Workload, setup Setup, f runFlags) (Result, error) {
 // runOpts keys the options, dedupes against in-flight and completed runs,
 // and executes under the worker pool. frag selects the standard fragmented
 // initial state (Options.PreFragment is a function and cannot be keyed).
+// The scheme is keyed by its canonical name, so "TPS" and "tps" share a
+// cell; an unknown name reaches Run and fails there.
 func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
+	if sch, ok := scheme.Lookup(opts.Scheme); ok {
+		opts.Scheme = sch.Name()
+	}
 	key := runKey{
-		name: w.Name, setup: opts.Setup,
+		name: w.Name, scheme: opts.Scheme,
 		smt: opts.SMT, virt: opts.Virtualized, frag: frag, cyc: opts.CycleModel,
 		threshold: opts.PromotionThreshold, sizing: opts.Sizing,
 		alias: opts.AliasStrategy, compactFail: opts.CompactOnFailure,
@@ -209,33 +215,44 @@ func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
 			if opts.SeriesEvery == 0 {
 				opts.SeriesEvery = series.DefaultEvery
 			}
-			meta := series.Meta{Workload: w.Name, Scheme: opts.Setup.SchemeName(), Seed: opts.Seed}
+			meta := series.Meta{Workload: w.Name, Scheme: opts.Scheme, Seed: opts.Seed}
 			opts.OnSeries = func(pts []series.Point, every uint64) {
 				sink.WriteCell(meta, every, pts)
 			}
 		}
 		res, err := Run(w, opts)
 		if err != nil {
-			return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, opts.Setup, err)
+			return Result{}, fmt.Errorf("run %s/%s: %w", w.Name, opts.Scheme, err)
 		}
 		return res, nil
 	})
 }
 
-// SchemesByName resolves scheme-registry names to Setups, failing on the
-// first unknown name with the registered vocabulary in the error — the
-// CLIs surface it verbatim, so a typo never falls through to a default.
-func SchemesByName(names []string) ([]Setup, error) {
-	out := make([]Setup, 0, len(names))
+// SchemesByName validates scheme-registry names (case-insensitive,
+// surrounding space ignored) and returns their canonical spellings,
+// failing on the first unknown name with the registered vocabulary in the
+// error — the CLIs surface it verbatim, so a typo never falls through to
+// a default.
+func SchemesByName(names []string) ([]string, error) {
+	out := make([]string, 0, len(names))
 	for _, n := range names {
-		s, ok := SetupByName(n)
+		sch, ok := scheme.Lookup(n)
 		if !ok {
 			return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
 				n, strings.Join(SchemeNames(), ", "))
 		}
-		out = append(out, s)
+		out = append(out, sch.Name())
 	}
 	return out, nil
+}
+
+// schemeLabel is a scheme name's display label, for table headers and
+// telemetry; an unregistered name stands for itself.
+func schemeLabel(name string) string {
+	if sch, ok := scheme.Lookup(name); ok {
+		return sch.Label()
+	}
+	return name
 }
 
 // SchemeGrid runs every given scheme against every suite workload and
@@ -243,15 +260,15 @@ func SchemesByName(names []string) ([]Setup, error) {
 // misses and page-walk memory references, both per thousand instructions —
 // the two axes the paper's Figs. 10 and 11 compare mechanisms on, here
 // side by side for an arbitrary scheme set (including registered backends
-// the paper predates, like svnapot).
-func (r *Runner) SchemeGrid(setups []Setup) (*Table, error) {
-	t := SchemeGridTable(setups)
+// the paper predates, like svnapot). schemes are registry names.
+func (r *Runner) SchemeGrid(schemes []string) (*Table, error) {
+	t := SchemeGridTable(schemes)
 	r.stream(t)
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, setups)
-	return FillSchemeGrid(t, r.cfg.Suite, setups, func(w Workload, s Setup) (Result, error) {
+	r.warmSuite(r.cfg.Suite, schemes)
+	return FillSchemeGrid(t, r.cfg.Suite, schemes, func(w Workload, s string) (Result, error) {
 		return r.run(w, s, runFlags{})
 	})
 }
@@ -260,28 +277,28 @@ func (r *Runner) SchemeGrid(setups []Setup) (*Table, error) {
 // scheme set: title, headers, notes, no rows. Split out of SchemeGrid so
 // cmd/tpsfarm can assemble the byte-identical grid from fleet-computed
 // results — one formatting implementation, however the cells were run.
-func SchemeGridTable(setups []Setup) *Table {
+func SchemeGridTable(schemes []string) *Table {
 	t := &Table{
 		Title:  "Scheme Comparison Grid: L1 DTLB MPKI / Page-Walk Memory References per 1k Instructions",
 		Header: []string{"benchmark"},
 		Notes:  []string{"cell format: L1MPKI/walkKI (lower is better for both)"},
 	}
-	for _, s := range setups {
-		t.Header = append(t.Header, s.String())
+	for _, s := range schemes {
+		t.Header = append(t.Header, schemeLabel(s))
 	}
 	return t
 }
 
 // FillSchemeGrid assembles the comparison grid into t by pulling each
-// (workload, setup) cell from get in row-major order — the Runner passes
+// (workload, scheme) cell from get in row-major order — the Runner passes
 // its memoizing run method, the fleet coordinator passes a blocking
 // wait-for-completion getter. Rows flush to t.Stream as they complete, so
 // a streaming caller sees rows the moment their cells land.
-func FillSchemeGrid(t *Table, suite []Workload, setups []Setup, get func(Workload, Setup) (Result, error)) (*Table, error) {
-	sums := make([][2]float64, len(setups))
+func FillSchemeGrid(t *Table, suite []Workload, schemes []string, get func(Workload, string) (Result, error)) (*Table, error) {
+	sums := make([][2]float64, len(schemes))
 	for _, w := range suite {
 		row := []string{w.Name}
-		for i, s := range setups {
+		for i, s := range schemes {
 			res, err := get(w, s)
 			if err != nil {
 				return nil, err
@@ -295,7 +312,7 @@ func FillSchemeGrid(t *Table, suite []Workload, setups []Setup, get func(Workloa
 	}
 	n := float64(len(suite))
 	avg := []string{"average"}
-	for i := range setups {
+	for i := range schemes {
 		avg = append(avg, f2(sums[i][0]/n)+"/"+f2(sums[i][1]/n))
 	}
 	t.AddRow(avg...)
@@ -341,18 +358,18 @@ func (r *Runner) Fig2() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP},
+	r.warmSuite(r.cfg.Suite, []string{"thp"},
 		runFlags{cyc: true}, runFlags{cyc: true, smt: true}, runFlags{cyc: true, virt: true})
 	for _, w := range r.cfg.Suite {
-		nat, err := r.run(w, SetupTHP, runFlags{cyc: true})
+		nat, err := r.run(w, "thp", runFlags{cyc: true})
 		if err != nil {
 			return nil, err
 		}
-		smt, err := r.run(w, SetupTHP, runFlags{cyc: true, smt: true})
+		smt, err := r.run(w, "thp", runFlags{cyc: true, smt: true})
 		if err != nil {
 			return nil, err
 		}
-		virt, err := r.run(w, SetupTHP, runFlags{cyc: true, virt: true})
+		virt, err := r.run(w, "thp", runFlags{cyc: true, virt: true})
 		if err != nil {
 			return nil, err
 		}
@@ -375,9 +392,9 @@ func (r *Runner) Fig3() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP}, runFlags{cyc: true})
+	r.warmSuite(r.cfg.Suite, []string{"thp"}, runFlags{cyc: true})
 	for _, w := range r.cfg.Suite {
-		res, err := r.run(w, SetupTHP, runFlags{cyc: true})
+		res, err := r.run(w, "thp", runFlags{cyc: true})
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +416,7 @@ func (r *Runner) Fig8() (*Table, error) {
 		return nil, err
 	}
 	all := Workloads()
-	r.warmSuite(all, []Setup{SetupTHP})
+	r.warmSuite(all, []string{"thp"})
 	type row struct {
 		name string
 		mpki float64
@@ -407,7 +424,7 @@ func (r *Runner) Fig8() (*Table, error) {
 	}
 	rows := make([]row, 0, len(all))
 	for _, w := range all {
-		res, err := r.run(w, SetupTHP, runFlags{})
+		res, err := r.run(w, "thp", runFlags{})
 		if err != nil {
 			return nil, err
 		}
@@ -435,13 +452,13 @@ func (r *Runner) Fig9() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupBase4K, Setup2MOnly})
+	r.warmSuite(r.cfg.Suite, []string{"base4k", "2m-only"})
 	for _, w := range r.cfg.Suite {
-		four, err := r.run(w, SetupBase4K, runFlags{})
+		four, err := r.run(w, "base4k", runFlags{})
 		if err != nil {
 			return nil, err
 		}
-		two, err := r.run(w, Setup2MOnly, runFlags{})
+		two, err := r.run(w, "2m-only", runFlags{})
 		if err != nil {
 			return nil, err
 		}
@@ -466,16 +483,16 @@ func (r *Runner) Fig10() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP, SetupTPS, SetupCoLT, SetupRMM})
+	r.warmSuite(r.cfg.Suite, []string{"thp", "tps", "colt", "rmm"})
 	var sums [3]float64
 	for _, w := range r.cfg.Suite {
-		thp, err := r.run(w, SetupTHP, runFlags{})
+		thp, err := r.run(w, "thp", runFlags{})
 		if err != nil {
 			return nil, err
 		}
 		var vals [3]float64
-		for i, setup := range []Setup{SetupTPS, SetupCoLT, SetupRMM} {
-			mech, err := r.run(w, setup, runFlags{})
+		for i, sch := range []string{"tps", "colt", "rmm"} {
+			mech, err := r.run(w, sch, runFlags{})
 			if err != nil {
 				return nil, err
 			}
@@ -501,16 +518,16 @@ func (r *Runner) Fig11() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP, SetupTPS, SetupRMM, SetupCoLT, SetupTPSEager})
+	r.warmSuite(r.cfg.Suite, []string{"thp", "tps", "rmm", "colt", "tps-eager"})
 	var sums [4]float64
 	for _, w := range r.cfg.Suite {
-		thp, err := r.run(w, SetupTHP, runFlags{})
+		thp, err := r.run(w, "thp", runFlags{})
 		if err != nil {
 			return nil, err
 		}
 		var vals [4]float64
-		for i, setup := range []Setup{SetupTPS, SetupRMM, SetupCoLT, SetupTPSEager} {
-			mech, err := r.run(w, setup, runFlags{})
+		for i, sch := range []string{"tps", "rmm", "colt", "tps-eager"} {
+			mech, err := r.run(w, sch, runFlags{})
 			if err != nil {
 				return nil, err
 			}
@@ -537,13 +554,13 @@ func (r *Runner) Fig12() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupBase4K, SetupTHP}, runFlags{cyc: true})
+	r.warmSuite(r.cfg.Suite, []string{"base4k", "thp"}, runFlags{cyc: true})
 	for _, w := range r.cfg.Suite {
-		d, err := r.run(w, SetupBase4K, runFlags{cyc: true}) // THP disabled
+		d, err := r.run(w, "base4k", runFlags{cyc: true}) // THP disabled
 		if err != nil {
 			return nil, err
 		}
-		e, err := r.run(w, SetupTHP, runFlags{cyc: true}) // THP enabled
+		e, err := r.run(w, "thp", runFlags{cyc: true}) // THP enabled
 		if err != nil {
 			return nil, err
 		}
@@ -598,11 +615,11 @@ func (r *Runner) speedupFigure(smt bool, title string) (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP}, runFlags{cyc: true, smt: smt})
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP, SetupTPS, SetupRMM, SetupCoLT}, runFlags{smt: smt})
+	r.warmSuite(r.cfg.Suite, []string{"thp"}, runFlags{cyc: true, smt: smt})
+	r.warmSuite(r.cfg.Suite, []string{"thp", "tps", "rmm", "colt"}, runFlags{smt: smt})
 	var sums [4]float64
 	for _, w := range r.cfg.Suite {
-		base, err := r.run(w, SetupTHP, runFlags{cyc: true, smt: smt})
+		base, err := r.run(w, "thp", runFlags{cyc: true, smt: smt})
 		if err != nil {
 			return nil, err
 		}
@@ -611,13 +628,13 @@ func (r *Runner) speedupFigure(smt bool, title string) (*Table, error) {
 		tL1 := float64(base.TL1DTLBM())
 		tPW := float64(base.TPW())
 
-		thpF, err := r.run(w, SetupTHP, runFlags{smt: smt})
+		thpF, err := r.run(w, "thp", runFlags{smt: smt})
 		if err != nil {
 			return nil, err
 		}
 		row := []string{w.Name}
-		for i, setup := range []Setup{SetupTPS, SetupRMM, SetupCoLT} {
-			mech, err := r.run(w, setup, runFlags{smt: smt})
+		for i, sch := range []string{"tps", "rmm", "colt"} {
+			mech, err := r.run(w, sch, runFlags{smt: smt})
 			if err != nil {
 				return nil, err
 			}
@@ -670,13 +687,13 @@ func (r *Runner) Fig16() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTHP, SetupTPS}, runFlags{frag: true})
+	r.warmSuite(r.cfg.Suite, []string{"thp", "tps"}, runFlags{frag: true})
 	for _, w := range r.cfg.Suite {
-		thp, err := r.run(w, SetupTHP, runFlags{frag: true})
+		thp, err := r.run(w, "thp", runFlags{frag: true})
 		if err != nil {
 			return nil, err
 		}
-		tpsR, err := r.run(w, SetupTPS, runFlags{frag: true})
+		tpsR, err := r.run(w, "tps", runFlags{frag: true})
 		if err != nil {
 			return nil, err
 		}
@@ -703,10 +720,10 @@ func (r *Runner) Fig17() (*Table, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, err
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTPS}, runFlags{cyc: true})
+	r.warmSuite(r.cfg.Suite, []string{"tps"}, runFlags{cyc: true})
 	var sum float64
 	for _, w := range r.cfg.Suite {
-		res, err := r.run(w, SetupTPS, runFlags{cyc: true})
+		res, err := r.run(w, "tps", runFlags{cyc: true})
 		if err != nil {
 			return nil, err
 		}
@@ -732,9 +749,9 @@ func (r *Runner) Fig18() (*Table, error) {
 	for o := addr.Order(0); o <= addr.Order1G; o++ {
 		t.Header = append(t.Header, o.String())
 	}
-	r.warmSuite(r.cfg.Suite, []Setup{SetupTPS})
+	r.warmSuite(r.cfg.Suite, []string{"tps"})
 	for _, w := range r.cfg.Suite {
-		res, err := r.run(w, SetupTPS, runFlags{})
+		res, err := r.run(w, "tps", runFlags{})
 		if err != nil {
 			return nil, err
 		}

@@ -55,11 +55,11 @@ func TestPublicCatalogAccess(t *testing.T) {
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(FigureConfig{Refs: 20_000, Suite: smallSuite(t)})
 	w := r.cfg.Suite[0]
-	a, err := r.run(w, SetupTPS, runFlags{})
+	a, err := r.run(w, "tps", runFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.run(w, SetupTPS, runFlags{})
+	b, err := r.run(w, "tps", runFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunnerMemoizes(t *testing.T) {
 		t.Errorf("cache size=%d", n)
 	}
 	// A different flag combination is a different run.
-	if _, err := r.run(w, SetupTPS, runFlags{smt: true}); err != nil {
+	if _, err := r.run(w, "tps", runFlags{smt: true}); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.eng.size(); n != 2 {

@@ -6,6 +6,7 @@ import (
 
 	"tps/internal/fabric"
 	"tps/internal/fragstate"
+	"tps/internal/scheme"
 	"tps/internal/store"
 )
 
@@ -18,17 +19,17 @@ import (
 // That agreement is the fleet exactness invariant's foundation: a cell
 // computed anywhere dedupes against a cell computed anywhere else.
 
-// FleetCells enumerates the scheme-comparison grid (cfg.Suite × setups)
-// as wire-serializable cell specs, in the row-major order the assembled
-// table consumes them.
-func FleetCells(cfg FigureConfig, setups []Setup) []fabric.CellSpec {
+// FleetCells enumerates the scheme-comparison grid (cfg.Suite × schemes,
+// registry names) as wire-serializable cell specs, in the row-major order
+// the assembled table consumes them.
+func FleetCells(cfg FigureConfig, schemes []string) []fabric.CellSpec {
 	cfg = cfg.withDefaults()
-	specs := make([]fabric.CellSpec, 0, len(cfg.Suite)*len(setups))
+	specs := make([]fabric.CellSpec, 0, len(cfg.Suite)*len(schemes))
 	for _, w := range cfg.Suite {
-		for _, s := range setups {
+		for _, s := range schemes {
 			specs = append(specs, fabric.CellSpec{
 				Workload:    w.Name,
-				Scheme:      s.SchemeName(),
+				Scheme:      s,
 				Refs:        cfg.Refs,
 				Seed:        cfg.Seed,
 				MemoryPages: cfg.MemoryPages,
@@ -58,11 +59,11 @@ func specKeyParts(spec fabric.CellSpec) (fabric.CellSpec, Workload, runKey, erro
 	if !ok {
 		return spec, Workload{}, runKey{}, fmt.Errorf("tps: unknown workload %q", spec.Workload)
 	}
-	setup, ok := SetupByName(spec.Scheme)
+	sch, ok := scheme.Lookup(spec.Scheme)
 	if !ok {
 		return spec, Workload{}, runKey{}, fmt.Errorf("tps: unknown scheme %q", spec.Scheme)
 	}
-	k := runKey{name: w.Name, setup: setup, frag: spec.Frag, threshold: spec.Threshold}
+	k := runKey{name: w.Name, scheme: sch.Name(), frag: spec.Frag, threshold: spec.Threshold}
 	return spec, w, k, nil
 }
 
@@ -83,13 +84,12 @@ func SpecKey(spec fabric.CellSpec) (string, error) {
 // to what the engine computes for the same cell locally — both funnel
 // into sim.Run with identical options.
 func RunSpec(ctx context.Context, spec fabric.CellSpec, onRefs func(uint64)) (Result, error) {
-	spec, w, _, err := specKeyParts(spec)
+	spec, w, k, err := specKeyParts(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	setup, _ := SetupByName(spec.Scheme)
 	opts := Options{
-		Setup:              setup,
+		Scheme:             k.scheme,
 		Refs:               spec.Refs,
 		Seed:               spec.Seed,
 		MemoryPages:        spec.MemoryPages,
@@ -102,7 +102,7 @@ func RunSpec(ctx context.Context, spec fabric.CellSpec, onRefs func(uint64)) (Re
 	}
 	res, err := Run(w, opts)
 	if err != nil {
-		return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, setup, err)
+		return Result{}, fmt.Errorf("run %s/%s: %w", w.Name, k.scheme, err)
 	}
 	return res, nil
 }

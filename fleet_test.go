@@ -15,31 +15,28 @@ import (
 func TestSpecKeyMatchesEngineKey(t *testing.T) {
 	cfg := FigureConfig{Refs: 2000, Seed: 7}
 	e := newEngine(cfg.withDefaults())
-	setups, err := SchemesByName(SchemeNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := FleetCells(cfg, setups)
-	if want := len(e.cfg.Suite) * len(setups); len(specs) != want {
+	schemes := SchemeNames()
+	specs := FleetCells(cfg, schemes)
+	if want := len(e.cfg.Suite) * len(schemes); len(specs) != want {
 		t.Fatalf("FleetCells enumerated %d cells, want %d", len(specs), want)
 	}
 	i := 0
 	for _, w := range e.cfg.Suite {
-		for _, s := range setups {
+		for _, s := range schemes {
 			spec := specs[i]
 			i++
-			if spec.Workload != w.Name || spec.Scheme != s.SchemeName() {
+			if spec.Workload != w.Name || spec.Scheme != s {
 				t.Fatalf("cell %d is %s/%s, want %s/%s (row-major order broken)",
-					i-1, spec.Workload, spec.Scheme, w.Name, s.SchemeName())
+					i-1, spec.Workload, spec.Scheme, w.Name, s)
 			}
 			got, err := SpecKey(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := e.cellKey(runKey{name: w.Name, setup: s})
+			want := e.cellKey(runKey{name: w.Name, scheme: s})
 			if got != want {
 				t.Fatalf("cell %s/%s: SpecKey %s != engine key %s",
-					w.Name, s.SchemeName(), got, want)
+					w.Name, s, got, want)
 			}
 		}
 	}
@@ -85,17 +82,13 @@ func TestRunSpecMatchesLocalRun(t *testing.T) {
 	if !ok {
 		t.Fatal("gcc missing from registry")
 	}
-	setup, ok := SetupByName("tps")
-	if !ok {
-		t.Fatal("tps scheme missing from registry")
-	}
 	spec := fabric.CellSpec{Workload: "gcc", Scheme: "tps", Refs: 5000, Seed: 11}
 
 	fleet, err := RunSpec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := Run(w, Options{Setup: setup, Refs: 5000, Seed: 11})
+	local, err := Run(w, Options{Scheme: "tps", Refs: 5000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

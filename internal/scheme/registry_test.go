@@ -29,18 +29,10 @@ func (s stub) Policy() vmm.Policy             { return vmm.PolicyBase4K }
 func (s stub) Organization() mmu.Organization { return mmu.OrgConventional }
 func (s stub) Orders() []addr.Order           { return []addr.Order{0} }
 
-// unregister removes a test-registered name so stubs never leak into the
-// conformance suite or other tests sharing the process-wide registry.
-func unregister(name string) {
-	mu.Lock()
-	delete(registry, name)
-	mu.Unlock()
-}
-
 func TestRegisterDuplicatePanics(t *testing.T) {
 	const name = "registry-test-dup"
 	Register(stub{name: name})
-	defer unregister(name)
+	defer Unregister(name)
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -65,7 +57,7 @@ func TestRegisterEmptyNamePanics(t *testing.T) {
 func TestLookupNamesAllConsistent(t *testing.T) {
 	const name = "registry-test-lookup"
 	Register(stub{name: name})
-	defer unregister(name)
+	defer Unregister(name)
 
 	if _, ok := Lookup(name); !ok {
 		t.Fatalf("Lookup(%q) missed a just-registered scheme", name)
@@ -90,5 +82,34 @@ func TestLookupNamesAllConsistent(t *testing.T) {
 		if !ok || got.Name() != names[i] {
 			t.Errorf("Lookup(%q) disagrees with All()", names[i])
 		}
+	}
+}
+
+func TestRegisterNonCanonicalNamePanics(t *testing.T) {
+	for _, name := range []string{"Registry-Test-Upper", " registry-test-space"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					Unregister(name)
+					t.Errorf("Register(%q) did not panic: Lookup could never find it", name)
+				}
+			}()
+			Register(stub{name: name})
+		}()
+	}
+}
+
+func TestLookupCanonicalizes(t *testing.T) {
+	const name = "registry-test-case"
+	Register(stub{name: name})
+	defer Unregister(name)
+	for _, spelling := range []string{name, "Registry-Test-CASE", "  " + name + "\t"} {
+		s, ok := Lookup(spelling)
+		if !ok || s.Name() != name {
+			t.Errorf("Lookup(%q) did not resolve to %q", spelling, name)
+		}
+	}
+	if _, ok := Lookup(""); ok {
+		t.Error("Lookup(\"\") resolved a scheme")
 	}
 }

@@ -12,8 +12,9 @@
 //
 // The registry name is load-bearing: it keys persisted results in the
 // content-addressed store (see the engine's cell fingerprints), appears in
-// telemetry events and manifests, and is what the CLIs resolve. Names must
-// therefore never change once released; display labels (Label) may.
+// telemetry events and manifests, and is what the CLIs and sim.Options
+// resolve — it is a scheme's only identity. Names must therefore never
+// change once released; display labels (Label) may.
 //
 // The conformance suite in this package's tests runs automatically against
 // every registered scheme: PTE round-trip over the scheme's order domain,
@@ -26,6 +27,7 @@ package scheme
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"tps/internal/addr"
@@ -93,13 +95,17 @@ var (
 	registry = map[string]Scheme{}
 )
 
-// Register adds a scheme to the registry. It panics on an empty name or a
-// duplicate registration: both are programming errors in a scheme package,
+// Register adds a scheme to the registry. It panics on an empty name, a
+// name Lookup could never find (upper-case or space-padded), or a
+// duplicate registration: all are programming errors in a scheme package,
 // and a silent overwrite would alias two schemes' persisted results.
 func Register(s Scheme) {
 	name := s.Name()
 	if name == "" {
 		panic("scheme: Register with empty name")
+	}
+	if name != canonical(name) {
+		panic(fmt.Sprintf("scheme: Register with non-canonical name %q", name))
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -109,11 +115,25 @@ func Register(s Scheme) {
 	registry[name] = s
 }
 
-// Lookup finds a registered scheme by its stable name.
+// Unregister removes a scheme from the registry, for tests that register
+// a temporary backend and must not leak it into later tests.
+func Unregister(name string) {
+	mu.Lock()
+	defer mu.Unlock()
+	delete(registry, name)
+}
+
+// canonical is the registry spelling of a name: lower-case, no
+// surrounding space.
+func canonical(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+
+// Lookup finds a registered scheme by its stable name, case-insensitively
+// and ignoring surrounding space; the scheme's Name is the canonical
+// spelling. The empty name is never registered.
 func Lookup(name string) (Scheme, bool) {
 	mu.RLock()
 	defer mu.RUnlock()
-	s, ok := registry[name]
+	s, ok := registry[canonical(name)]
 	return s, ok
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tps/internal/addr"
+	"tps/internal/scheme"
 	"tps/internal/trace"
 )
 
@@ -47,9 +48,10 @@ func TestRefBatchSteadyStateAllocs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, s := range []Setup{SetupBase4K, SetupTPS} {
-				t.Run(s.String(), func(t *testing.T) {
-					got := allocsPerBatch(t, Options{Setup: s, OnRefs: c.onRefs})
+			for _, name := range []string{"base4k", "tps"} {
+				sch, _ := scheme.Lookup(name)
+				t.Run(sch.Label(), func(t *testing.T) {
+					got := allocsPerBatch(t, Options{Scheme: name, OnRefs: c.onRefs})
 					if got != 0 {
 						t.Fatalf("steady-state RefBatch allocates %.2f allocs/op, want 0", got)
 					}
@@ -73,8 +75,8 @@ func TestRefBatchSteadyStateAllocsVariants(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"cache-disabled", Options{Setup: SetupTPS, TransCache: -1}},
-		{"cache-small", Options{Setup: SetupTPS, TransCache: 256}},
+		{"cache-disabled", Options{Scheme: "tps", TransCache: -1}},
+		{"cache-small", Options{Scheme: "tps", TransCache: 256}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -2,7 +2,7 @@ package sim
 
 // BenchmarkRefLoop measures the steady-state cost of one simulated memory
 // reference — the machine.refAs → vmm.Kernel.Access → mmu.Translate → TLB
-// probe chain — per translation setup. The reference pattern is
+// probe chain — per translation scheme. The reference pattern is
 // pregenerated (no rand in the timed loop), so ns/op is ns per simulated
 // reference through the production delivery path, directly comparable
 // across commits with benchstat.
@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tps/internal/scheme"
 	"tps/internal/telemetry/series"
 	"tps/internal/trace"
 )
@@ -59,23 +60,23 @@ func benchRefLoop(b *testing.B, opts Options) {
 // BenchmarkRefLoop covers every registered scheme, keyed by stable
 // registry name so BENCH_*.json rows stay comparable across commits.
 func BenchmarkRefLoop(b *testing.B) {
-	for _, s := range Setups() {
-		b.Run(s.SchemeName(), func(b *testing.B) { benchRefLoop(b, Options{Setup: s}) })
+	for _, s := range scheme.Names() {
+		b.Run(s, func(b *testing.B) { benchRefLoop(b, Options{Scheme: s}) })
 	}
 }
 
 // BenchmarkRefLoopNoCache is the same loop with the software translation
 // cache disabled — the before/after row for the PR 7 fast path.
 func BenchmarkRefLoopNoCache(b *testing.B) {
-	for _, s := range []Setup{SetupTHP, SetupTPS} {
-		b.Run(s.SchemeName(), func(b *testing.B) { benchRefLoop(b, Options{Setup: s, TransCache: -1}) })
+	for _, s := range []string{"thp", "tps"} {
+		b.Run(s, func(b *testing.B) { benchRefLoop(b, Options{Scheme: s, TransCache: -1}) })
 	}
 }
 
 // BenchmarkRefLoopCycleModel includes the data-cache and OOO timing models
 // (the Fig. 2/13/14 configuration), the most expensive per-ref path.
 func BenchmarkRefLoopCycleModel(b *testing.B) {
-	benchRefLoop(b, Options{Setup: SetupTHP, CycleModel: true})
+	benchRefLoop(b, Options{Scheme: "thp", CycleModel: true})
 }
 
 // BenchmarkRefLoopSeries measures the epoch-sampling overhead: the same
@@ -84,9 +85,9 @@ func BenchmarkRefLoopCycleModel(b *testing.B) {
 // (counter reads plus the census walk) amortizes over a full epoch. The
 // bench_guard contract: within 5% of the plain BenchmarkRefLoop row.
 func BenchmarkRefLoopSeries(b *testing.B) {
-	for _, s := range []Setup{SetupTHP, SetupTPS} {
-		b.Run(s.SchemeName(), func(b *testing.B) {
-			benchRefLoop(b, Options{Setup: s, SeriesEvery: series.DefaultEvery})
+	for _, s := range []string{"thp", "tps"} {
+		b.Run(s, func(b *testing.B) {
+			benchRefLoop(b, Options{Scheme: s, SeriesEvery: series.DefaultEvery})
 		})
 	}
 }
@@ -99,10 +100,10 @@ func BenchmarkRefLoopSeries(b *testing.B) {
 func BenchmarkRefLoopTelemetry(b *testing.B) {
 	var refs atomic.Uint64
 	b.Run("disabled", func(b *testing.B) {
-		benchRefLoop(b, Options{Setup: SetupTPS})
+		benchRefLoop(b, Options{Scheme: "tps"})
 	})
 	b.Run("enabled", func(b *testing.B) {
-		benchRefLoop(b, Options{Setup: SetupTPS, OnRefs: func(n uint64) { refs.Add(n) }})
+		benchRefLoop(b, Options{Scheme: "tps", OnRefs: func(n uint64) { refs.Add(n) }})
 	})
 }
 
@@ -119,8 +120,8 @@ func BenchmarkSMTRun(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"thp", Options{Setup: SetupTHP}},
-		{"thp+cycle", Options{Setup: SetupTHP, CycleModel: true}},
+		{"thp", Options{Scheme: "thp"}},
+		{"thp+cycle", Options{Scheme: "thp", CycleModel: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var refs uint64

@@ -54,7 +54,10 @@ func newSteadyMachine(opts Options) (*machine, []trace.Ref, error) {
 	if opts.MemoryPages == 0 {
 		opts.MemoryPages = 1 << 20
 	}
-	m := newMachine(opts)
+	m, err := newMachine(opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	base, err := m.Mmap(steadyFootprint)
 	if err != nil {
 		return nil, nil, err
@@ -76,11 +79,8 @@ type SteadyState struct {
 }
 
 // NewSteadyState builds a machine for the options and faults in the whole
-// footprint. The setup must resolve in the scheme registry.
+// footprint. Options.Scheme must name a registered scheme.
 func NewSteadyState(opts Options) (*SteadyState, error) {
-	if _, err := opts.Setup.scheme(); err != nil {
-		return nil, err
-	}
 	m, pat, err := newSteadyMachine(opts)
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tps/internal/scheme"
 	"tps/internal/telemetry/series"
 )
 
@@ -23,16 +24,16 @@ func TestSeriesSamplerSteadyStateAllocs(t *testing.T) {
 	// Every other 512-ref batch crosses an epoch boundary, so the
 	// AllocsPerRun window contains ~100 live samples (ring, probe,
 	// census walk included).
-	for _, s := range Setups() {
-		t.Run(s.SchemeName(), func(t *testing.T) {
-			got := allocsPerBatch(t, Options{Setup: s, SeriesEvery: 1024})
+	for _, s := range scheme.Names() {
+		t.Run(s, func(t *testing.T) {
+			got := allocsPerBatch(t, Options{Scheme: s, SeriesEvery: 1024})
 			if got != 0 {
 				t.Fatalf("sampling RefBatch allocates %.2f allocs/op, want 0", got)
 			}
 		})
 	}
 	t.Run("cache-disabled", func(t *testing.T) {
-		got := allocsPerBatch(t, Options{Setup: SetupTPS, TransCache: -1, SeriesEvery: 1024})
+		got := allocsPerBatch(t, Options{Scheme: "tps", TransCache: -1, SeriesEvery: 1024})
 		if got != 0 {
 			t.Fatalf("sampling RefBatch allocates %.2f allocs/op, want 0", got)
 		}
@@ -47,7 +48,7 @@ func seriesRun(t *testing.T, every uint64) ([]series.Record, Result) {
 	var gotEvery uint64
 	w := churnWorkload(4, 256)
 	opts := Options{
-		Setup: SetupTPS, Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
+		Scheme: "tps", Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
 		SeriesEvery: every,
 		OnSeries: func(p []series.Point, e uint64) {
 			pts = append([]series.Point(nil), p...)
@@ -99,7 +100,7 @@ func TestSeriesDoesNotPerturbResult(t *testing.T) {
 	}
 	_, sampled := seriesRun(t, 4096)
 	plain, err := Run(churnWorkload(4, 256), Options{
-		Setup: SetupTPS, Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
+		Scheme: "tps", Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,107 +28,11 @@ import (
 	"tps/internal/workload"
 )
 
-// Setup selects the translation mechanism under evaluation.
-type Setup int
-
-const (
-	// SetupBase4K: demand paging, 4 KB pages only.
-	SetupBase4K Setup = iota
-	// SetupTHP: reservation-based Transparent Huge Pages (the baseline of
-	// Figs. 10, 11, 13, 14, 16).
-	SetupTHP
-	// SetupTPS: Tailored Page Sizes with reservation-based demand paging.
-	SetupTPS
-	// SetupTPSEager: TPS with eager paging.
-	SetupTPSEager
-	// SetupCoLT: CoLT-SA coalescing hardware over 4 KB demand paging.
-	SetupCoLT
-	// SetupRMM: Redundant Memory Mappings (eager ranges + Range TLB).
-	SetupRMM
-	// Setup2MOnly: every mapping uses 2 MB pages exclusively (Fig. 9).
-	Setup2MOnly
-	// SetupSvnapot: TPS hardware with promotion restricted to the fixed
-	// RISC-V Svnapot granule set (4K/64K/2M/1G) — the any-size ablation.
-	SetupSvnapot
-)
-
-// setupNames maps each Setup ordinal to its stable scheme-registry name.
-// This is the only place an ordinal and a name meet: everything persistent
-// (store fingerprints, telemetry, BENCH output) uses the name, so the enum
-// may be reordered or extended without aliasing stored results.
-var setupNames = [...]string{
-	SetupBase4K:   "base4k",
-	SetupTHP:      "thp",
-	SetupTPS:      "tps",
-	SetupTPSEager: "tps-eager",
-	SetupCoLT:     "colt",
-	SetupRMM:      "rmm",
-	Setup2MOnly:   "2m-only",
-	SetupSvnapot:  "svnapot",
-}
-
-// SchemeName returns the setup's stable scheme-registry name, or
-// "invalid(N)" for an out-of-range value (never a masqueraded default).
-func (s Setup) SchemeName() string {
-	if s >= 0 && int(s) < len(setupNames) {
-		return setupNames[s]
-	}
-	return fmt.Sprintf("invalid(%d)", int(s))
-}
-
-// scheme resolves the setup's backend from the registry.
-func (s Setup) scheme() (scheme.Scheme, error) {
-	if sch, ok := scheme.Lookup(s.SchemeName()); ok {
-		return sch, nil
-	}
-	return nil, fmt.Errorf("sim: setup %d is not a registered scheme (have %s)",
-		int(s), strings.Join(scheme.Names(), ", "))
-}
-
-// String names the setup as it appears in the paper's figures. An
-// unregistered value prints as Setup(N) — explicitly, rather than
-// masquerading as the 4K baseline in error messages and table headers.
-func (s Setup) String() string {
-	if sch, err := s.scheme(); err == nil {
-		return sch.Label()
-	}
-	return fmt.Sprintf("Setup(%d)", int(s))
-}
-
-// SetupByName resolves a scheme-registry name (case-insensitive) to its
-// Setup. It reports false for names not in the registry.
-func SetupByName(name string) (Setup, bool) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	for s, n := range setupNames {
-		if n == name {
-			_, err := Setup(s).scheme()
-			return Setup(s), err == nil
-		}
-	}
-	return 0, false
-}
-
-// SetupNames returns the registered scheme names, sorted — the vocabulary
-// SetupByName accepts, for CLI listings and error messages.
-func SetupNames() []string { return scheme.Names() }
-
-// Setups returns every registered setup in enum order.
-func Setups() []Setup {
-	out := make([]Setup, 0, len(setupNames))
-	for s := range setupNames {
-		if _, err := Setup(s).scheme(); err == nil {
-			out = append(out, Setup(s))
-		}
-	}
-	return out
-}
-
 // Options parameterizes one run.
 type Options struct {
-	Setup Setup
-	// Scheme, when non-empty, selects the translation scheme by its stable
-	// registry name ("tps", "svnapot", ...) and overrides Setup. Run
-	// rejects names that are not registered.
+	// Scheme selects the translation scheme by its stable registry name
+	// ("tps", "svnapot", ...; case-insensitive, surrounding space
+	// ignored). Run rejects an empty or unregistered name.
 	Scheme string
 	// Refs is the approximate reference count to simulate.
 	Refs uint64
@@ -173,7 +77,7 @@ type Options struct {
 	// consumers copy or serialize before returning.
 	OnSeries func(points []series.Point, every uint64)
 
-	// OS knobs (TPS setups).
+	// OS knobs (TPS schemes).
 	PromotionThreshold float64
 	Sizing             vmm.Sizing
 	AliasStrategy      pagetable.AliasStrategy
@@ -209,8 +113,7 @@ type Options struct {
 // Result is one run's measurements.
 type Result struct {
 	Workload string
-	Setup    Setup
-	// Scheme is the stable registry name of the setup that ran — the
+	// Scheme is the canonical registry name of the scheme that ran — the
 	// identity persisted results and telemetry are keyed by.
 	Scheme string
 
@@ -219,8 +122,8 @@ type Result struct {
 
 	MMU  mmu.Stats
 	OS   vmm.Stats
-	RMM  rmm.Stats  // SetupRMM only
-	CoLT colt.Stats // SetupCoLT only
+	RMM  rmm.Stats  // "rmm" only
+	CoLT colt.Stats // "colt" only
 
 	// WalkMemRefs is the total page-walk memory references including
 	// nested (virtualized) refs and RMM range-walker fetches — the
@@ -321,7 +224,7 @@ func (m *machine) ctxErr() error {
 // Phase implements trace.PhaseSink: at the main-phase boundary, snapshot
 // warmup hardware statistics and restart the timing models (caches stay
 // warm). Region-of-interest methodology: initialization misses are
-// compulsory in every setup.
+// compulsory in every scheme.
 func (m *machine) Phase(name string) {
 	if name != trace.MainPhase {
 		return
@@ -383,14 +286,16 @@ func addMMU(a, b mmu.Stats) mmu.Stats {
 	return a
 }
 
-// newMachine assembles the system for the options. The setup must resolve
-// in the scheme registry; sim.Run validates this before calling (internal
-// callers pass known-good setups, so resolution failure here is a bug).
-func newMachine(opts Options) *machine {
-	sch, err := opts.Setup.scheme()
-	if err != nil {
-		panic(err)
+// newMachine assembles the system for the options. It is the one place a
+// scheme name resolves against the registry: an empty or unregistered
+// name is an error listing the registered names, never a default scheme.
+func newMachine(opts Options) (*machine, error) {
+	sch, ok := scheme.Lookup(opts.Scheme)
+	if !ok {
+		return nil, fmt.Errorf("sim: unknown scheme %q (registered: %s)",
+			opts.Scheme, strings.Join(scheme.Names(), ", "))
 	}
+	opts.Scheme = sch.Name()
 	if opts.MemoryPages == 0 {
 		opts.MemoryPages = 1 << 21 // 8 GB
 	}
@@ -446,7 +351,7 @@ func newMachine(opts Options) *machine {
 		m.ideal = cpu.New(cpu.DefaultParams())
 	}
 	m.sampler = newSeriesSampler(opts.SeriesEvery, m)
-	return m
+	return m, nil
 }
 
 // Mmap implements trace.Sink (thread 0).
@@ -580,21 +485,9 @@ func walkRefAddr(v addr.Virt, level int) addr.Phys {
 }
 
 // Run executes one workload under the options and collects the result.
-// The translation scheme may be selected either by Options.Setup or by
-// registry name via Options.Scheme (which wins when set); an unregistered
-// setup or unknown name is a validation error, not a silent baseline run.
+// An unknown Options.Scheme is a validation error, not a silent baseline
+// run.
 func Run(w workload.Workload, opts Options) (Result, error) {
-	if opts.Scheme != "" {
-		s, ok := SetupByName(opts.Scheme)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: unknown scheme %q (have %s)",
-				opts.Scheme, strings.Join(scheme.Names(), ", "))
-		}
-		opts.Setup = s
-	}
-	if _, err := opts.Setup.scheme(); err != nil {
-		return Result{}, err
-	}
 	if opts.Refs == 0 {
 		opts.Refs = 1 << 20
 	}
@@ -603,7 +496,10 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 			return Result{}, err
 		}
 	}
-	m := newMachine(opts)
+	m, err := newMachine(opts)
+	if err != nil {
+		return Result{}, err
+	}
 
 	counter := &trace.CountingSink{Sink: m}
 	if opts.SMT {
@@ -628,8 +524,7 @@ func (m *machine) collect(w workload.Workload, c *trace.CountingSink) Result {
 	m.sampler.flush(m.opts.OnSeries)
 	r := Result{
 		Workload:     w.Name,
-		Setup:        m.opts.Setup,
-		Scheme:       m.opts.Setup.SchemeName(),
+		Scheme:       m.opts.Scheme,
 		Refs:         c.Refs,
 		Instructions: c.Instructions,
 		Census:       make(map[addr.Order]uint64),

@@ -45,14 +45,14 @@ func TestSMTResultPinned(t *testing.T) {
 	}{
 		// gcc maps many regions during warm-up, so mmaps interleave with
 		// the co-runner's references.
-		{"thp+cycle/gcc", "gcc", Options{Setup: SetupTHP, CycleModel: true},
-			"a6297c6df1eb42a762976826316ecf89a64d49e35f12cc68351d9d83610ea1df"},
-		{"tps/xz", "xz", Options{Setup: SetupTPS},
-			"94cbb632846160bf28c2183384c3fa27f887737b7f31edcfa56bb4ea7dba4bbb"},
-		{"colt/xz", "xz", Options{Setup: SetupCoLT},
-			"9f1a750130b77f770b2724e8a3feb9d84f479e7d524b7f7670c0020ade679e2f"},
-		{"tps+series/gcc", "gcc", Options{Setup: SetupTPS, SeriesEvery: 1 << 14},
-			"2244d6c9e0207e944b52dc8694d3f941cc79c7bbdee98152eb0d67fbb483838e"},
+		{"thp+cycle/gcc", "gcc", Options{Scheme: "thp", CycleModel: true},
+			"dc8f212cf3d2fd89edd770ecf4193972c8b5209ed7e4db77ade2f64de8fa1060"},
+		{"tps/xz", "xz", Options{Scheme: "tps"},
+			"b6a3ccba97640449fe13171000cfb3b73179cf458ab821539aea01d2071212d2"},
+		{"colt/xz", "xz", Options{Scheme: "colt"},
+			"873eca2af1da14e28d4870eee85dfed985c82dea3206f7d82f6337adedd1f44c"},
+		{"tps+series/gcc", "gcc", Options{Scheme: "tps", SeriesEvery: 1 << 14},
+			"7726ad450f09fbcf2c515e593dba47acb44fec16ce4526ddf5d6dda6854a01ad"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,7 +143,7 @@ func TestSMTCancelJoinsProducers(t *testing.T) {
 			defer cancel()
 			var seen uint64
 			_, err := Run(w, Options{
-				Setup: SetupTHP, SMT: true, Refs: smtRefs, Seed: seed,
+				Scheme: "thp", SMT: true, Refs: smtRefs, Seed: seed,
 				Context: ctx,
 				OnRefs: func(n uint64) {
 					if seen += n; seen >= p.after {

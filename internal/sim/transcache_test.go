@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"tps/internal/addr"
+	"tps/internal/scheme"
 	"tps/internal/trace"
 	"tps/internal/workload"
 )
@@ -91,21 +92,21 @@ func churnWorkload(regions int, refsPerRound uint64) workload.Workload {
 // metric.
 func TestTransCacheChurnBitIdentical(t *testing.T) {
 	w := churnWorkload(6, 512)
-	for _, setup := range Setups() {
+	for _, name := range scheme.Names() {
 		for _, seed := range []int64{1, 42} {
-			opts := Options{Setup: setup, Refs: 80000, Seed: seed, MemoryPages: 1 << 19}
+			opts := Options{Scheme: name, Refs: 80000, Seed: seed, MemoryPages: 1 << 19}
 			cached, err := Run(w, opts)
 			if err != nil {
-				t.Fatalf("%v seed %d cached: %v", setup, seed, err)
+				t.Fatalf("%s seed %d cached: %v", name, seed, err)
 			}
 			opts.TransCache = -1
 			plain, err := Run(w, opts)
 			if err != nil {
-				t.Fatalf("%v seed %d uncached: %v", setup, seed, err)
+				t.Fatalf("%s seed %d uncached: %v", name, seed, err)
 			}
 			if !reflect.DeepEqual(cached, plain) {
-				t.Errorf("%v seed %d: cache-enabled run diverged from cache-disabled:\n%+v\nvs\n%+v",
-					setup, seed, cached, plain)
+				t.Errorf("%s seed %d: cache-enabled run diverged from cache-disabled:\n%+v\nvs\n%+v",
+					name, seed, cached, plain)
 			}
 		}
 	}
@@ -113,25 +114,25 @@ func TestTransCacheChurnBitIdentical(t *testing.T) {
 
 // TestTransCacheChurnCompaction adds the compaction daemon — relocations,
 // reservation re-homing, merge-aware growth, and the full TLB flushes they
-// trigger — to the churn, for the TPS setups whose kernels exercise it.
+// trigger — to the churn, for the schemes whose kernels exercise it.
 func TestTransCacheChurnCompaction(t *testing.T) {
 	w := churnWorkload(6, 512)
-	for _, setup := range []Setup{SetupTHP, SetupTPS, SetupSvnapot} {
+	for _, name := range []string{"thp", "tps", "svnapot"} {
 		opts := Options{
-			Setup: setup, Refs: 60000, Seed: 9, MemoryPages: 1 << 19,
+			Scheme: name, Refs: 60000, Seed: 9, MemoryPages: 1 << 19,
 			CompactEvery: 7000, CompactOnFailure: true,
 		}
 		cached, err := Run(w, opts)
 		if err != nil {
-			t.Fatalf("%v cached: %v", setup, err)
+			t.Fatalf("%s cached: %v", name, err)
 		}
 		opts.TransCache = -1
 		plain, err := Run(w, opts)
 		if err != nil {
-			t.Fatalf("%v uncached: %v", setup, err)
+			t.Fatalf("%s uncached: %v", name, err)
 		}
 		if !reflect.DeepEqual(cached, plain) {
-			t.Errorf("%v: compaction churn diverged with cache enabled:\n%+v\nvs\n%+v", setup, cached, plain)
+			t.Errorf("%s: compaction churn diverged with cache enabled:\n%+v\nvs\n%+v", name, cached, plain)
 		}
 	}
 }
@@ -142,7 +143,7 @@ func TestTransCacheChurnCompaction(t *testing.T) {
 func TestTransCacheSmallSizes(t *testing.T) {
 	w := churnWorkload(4, 256)
 	for _, entries := range []int{64, 1024} {
-		opts := Options{Setup: SetupTPS, Refs: 40000, Seed: 5, MemoryPages: 1 << 19, TransCache: entries}
+		opts := Options{Scheme: "tps", Refs: 40000, Seed: 5, MemoryPages: 1 << 19, TransCache: entries}
 		small, err := Run(w, opts)
 		if err != nil {
 			t.Fatal(err)

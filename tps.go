@@ -14,47 +14,26 @@
 // Quick start:
 //
 //	w, _ := tps.WorkloadByName("gups")
-//	res, err := tps.Run(w, tps.Options{Setup: tps.SetupTPS, Refs: 1e6})
+//	res, err := tps.Run(w, tps.Options{Scheme: "tps", Refs: 1e6})
 //	fmt.Printf("L1 hit rate: %.2f%%\n",
 //	    100*float64(res.MMU.L1Hits)/float64(res.MMU.Accesses))
 package tps
 
 import (
+	"tps/internal/scheme"
 	"tps/internal/sim"
 	"tps/internal/workload"
 )
 
-// Setup selects the translation mechanism a run evaluates.
-type Setup = sim.Setup
-
-// The available mechanisms: the 4 KB-only baseline, reservation-based
-// Transparent Huge Pages (the paper's comparison baseline), Tailored Page
-// Sizes under reservation or eager paging, the CoLT and RMM related-work
-// baselines, the exclusive-2MB configuration of the Fig. 9 study, and the
-// RISC-V Svnapot fixed-granule ablation. Each is backed by a registered
-// translation scheme (internal/scheme); SetupByName resolves the stable
-// registry names.
-const (
-	SetupBase4K   = sim.SetupBase4K
-	SetupTHP      = sim.SetupTHP
-	SetupTPS      = sim.SetupTPS
-	SetupTPSEager = sim.SetupTPSEager
-	SetupCoLT     = sim.SetupCoLT
-	SetupRMM      = sim.SetupRMM
-	Setup2MOnly   = sim.Setup2MOnly
-	SetupSvnapot  = sim.SetupSvnapot
-)
-
-// SetupByName resolves a scheme-registry name ("tps", "svnapot", ...) to
-// its Setup, reporting false for unregistered names.
-func SetupByName(name string) (Setup, bool) { return sim.SetupByName(name) }
-
 // SchemeNames returns the registered translation-scheme names, sorted —
-// the vocabulary SetupByName accepts.
-func SchemeNames() []string { return sim.SetupNames() }
-
-// Setups returns every registered setup in enum order.
-func Setups() []Setup { return sim.Setups() }
+// the vocabulary Options.Scheme accepts: the 4 KB-only baseline
+// ("base4k"), reservation-based Transparent Huge Pages ("thp", the
+// paper's comparison baseline), Tailored Page Sizes under reservation or
+// eager paging ("tps", "tps-eager"), the CoLT and RMM related-work
+// baselines ("colt", "rmm"), the exclusive-2MB configuration of the
+// Fig. 9 study ("2m-only"), and the RISC-V Svnapot fixed-granule ablation
+// ("svnapot"). Each is one registered backend under internal/scheme.
+func SchemeNames() []string { return scheme.Names() }
 
 // Options parameterizes a single simulation run.
 type Options = sim.Options
