@@ -1,12 +1,18 @@
-// Command tpssim runs one benchmark under one translation mechanism and
+// Command tpssim runs one benchmark under one translation scheme and
 // prints the full statistics block: TLB hits and misses per level,
 // page-walk memory references, OS work, page-size census, and footprint.
+// It also dumps a benchmark's reference stream to a portable text trace
+// (format in internal/trace/file.go) and replays such a trace — a dump, or
+// converted PIN output, the paper's own tracing method — through the same
+// simulator, under any registered scheme.
 //
 // Usage:
 //
-//	tpssim -workload gups -setup tps
-//	tpssim -workload gcc -setup thp -refs 2000000
-//	tpssim -workload xsbench -setup tps -fragmented -threshold 0.5
+//	tpssim -workload gups -scheme tps
+//	tpssim -workload gcc -scheme thp -refs 2000000
+//	tpssim -workload xsbench -scheme tps -fragmented -threshold 0.5
+//	tpssim -workload gups -refs 500000 -dump gups.trace
+//	tpssim -replay gups.trace -scheme colt
 package main
 
 import (
@@ -14,19 +20,20 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"tps"
 	"tps/internal/addr"
 	"tps/internal/fragstate"
 	"tps/internal/scheme"
 	"tps/internal/telemetry/series"
+	"tps/internal/trace"
+	"tps/internal/workload"
 )
 
 func main() {
 	var (
 		name      = flag.String("workload", "gups", "benchmark name (see -list)")
-		schemeArg = flag.String("setup", "tps", "translation scheme by registry name (see error output for the list); legacy aliases 4k/base/eager/2m accepted")
+		schemeArg = flag.String("scheme", "tps", "translation scheme by registry name (an unknown name lists them)")
 		refs      = flag.Uint64("refs", 1<<20, "measured references")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		memGB     = flag.Uint64("mem", 16, "physical memory in GB")
@@ -38,6 +45,8 @@ func main() {
 		seriesOut = flag.String("series", "", "write an epoch-sampled counter time-series (JSONL) to this file")
 		seriesN   = flag.Uint64("series-every", 0, "with -series: sample every N references (0 = the 1M default)")
 		list      = flag.Bool("list", false, "list workloads and exit")
+		replay    = flag.String("replay", "", "simulate this trace file instead of -workload (-refs and -seed are ignored; under -smt both siblings replay it)")
+		dump      = flag.String("dump", "", "write the -workload/-refs/-seed reference stream to this trace file and exit")
 	)
 	flag.Parse()
 
@@ -54,19 +63,22 @@ func main() {
 	}
 
 	w, ok := tps.WorkloadByName(*name)
-	if !ok {
+	switch {
+	case *replay != "":
+		w = workload.FromTrace(*replay)
+	case !ok:
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *name)
 		os.Exit(1)
-	}
-	sch, ok := parseScheme(*schemeArg)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q (registered: %s)\n",
-			*schemeArg, strings.Join(tps.SchemeNames(), ", "))
-		os.Exit(1)
+	case *dump != "":
+		if err := dumpTrace(*dump, w, *refs, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "dump failed: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	opts := tps.Options{
-		Scheme:             sch.Name(),
+		Scheme:             *schemeArg,
 		Refs:               *refs,
 		Seed:               *seed,
 		MemoryPages:        *memGB << (30 - addr.BasePageShift),
@@ -91,7 +103,7 @@ func main() {
 		if opts.SeriesEvery == 0 {
 			opts.SeriesEvery = series.DefaultEvery
 		}
-		meta := series.Meta{Workload: w.Name, Scheme: sch.Name(), Seed: *seed}
+		meta := series.Meta{Workload: w.Name, Scheme: *schemeArg, Seed: *seed}
 		opts.OnSeries = func(pts []series.Point, every uint64) {
 			seriesLog.WriteCell(meta, every, pts)
 		}
@@ -108,21 +120,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	sch, _ := scheme.Lookup(res.Scheme)
 	report(res, sch.Label())
 }
 
-// parseScheme resolves a scheme by its registry name, keeping the historic
-// command-line aliases as a thin pre-translation layer.
-func parseScheme(s string) (scheme.Scheme, bool) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "4k", "base":
-		s = "base4k"
-	case "eager":
-		s = "tps-eager"
-	case "2m":
-		s = "2m-only"
+// dumpTrace writes w's reference stream to a trace file, headed by a
+// comment line naming the workload, budget and seed.
+func dumpTrace(path string, w tps.Workload, refs uint64, seed int64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return scheme.Lookup(s)
+	defer f.Close()
+	fw := trace.NewFileWriter(f)
+	if _, err := fmt.Fprintf(f, "# tps trace: workload=%s refs=%d seed=%d\n", w.Name, refs, seed); err != nil {
+		return err
+	}
+	if err := w.Run(fw, refs, seed); err != nil {
+		return err
+	}
+	if err := fw.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 func report(res tps.Result, label string) {

@@ -140,6 +140,9 @@ func Replay(r io.Reader, s Sink) error {
 			}
 			bases = append(bases, base)
 		case "munmap":
+			if len(fields) != 2 {
+				return fail(fmt.Errorf("munmap wants 1 arg"))
+			}
 			reg, err := strconv.Atoi(fields[1])
 			if err != nil || reg < 0 || reg >= len(bases) {
 				return fail(fmt.Errorf("bad region %q", fields[1]))
@@ -148,9 +151,10 @@ func Replay(r io.Reader, s Sink) error {
 				return fail(err)
 			}
 		case "phase":
-			if len(fields) == 2 {
-				AnnouncePhase(s, fields[1])
+			if len(fields) != 2 {
+				return fail(fmt.Errorf("phase wants 1 name"))
 			}
+			AnnouncePhase(s, fields[1])
 		case "r", "w":
 			if len(fields) < 3 {
 				return fail(fmt.Errorf("ref wants region and offset"))

@@ -146,6 +146,9 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		"mmap 4096\nr 0 xyz\n",
 		"mmap 4096\nr 0 0 q\n",
 		"munmap 3\n",
+		"munmap\n",            // region number missing
+		"mmap 4096\nmunmap\n", // region number missing after a mapping
+		"phase\n",             // phase without a name
 	}
 	for _, c := range cases {
 		if err := Replay(strings.NewReader(c), &recordSink{}); err == nil {

@@ -13,6 +13,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"tps/internal/addr"
 	"tps/internal/trace"
@@ -41,7 +43,8 @@ type Workload struct {
 	// generator touches (scaled down from the original benchmarks to
 	// keep simulation tractable; relative pressure is preserved).
 	FootprintBytes uint64
-	// Run drives the sink for about `refs` memory references.
+	// Run drives the sink for about `refs` memory references. A trace
+	// workload (FromTrace) ignores refs and seed and replays its file.
 	Run func(s trace.Sink, refs uint64, seed int64) error
 }
 
@@ -119,6 +122,24 @@ func Sparse(footprint uint64, density float64) Workload {
 				}
 			}
 			return nil
+		},
+	}
+}
+
+// FromTrace wraps a recorded trace file (format in internal/trace/file.go)
+// as a workload, so a captured stream — a dump, or converted PIN output —
+// runs through the same simulator as the generators. Run reopens the file
+// on every call and ignores refs and seed: the trace fixes both.
+func FromTrace(path string) Workload {
+	return Workload{
+		Name: filepath.Base(path),
+		Run: func(s trace.Sink, _ uint64, _ int64) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return trace.Replay(f, s)
 		},
 	}
 }
