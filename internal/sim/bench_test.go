@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tps/internal/addr"
 	"tps/internal/scheme"
 	"tps/internal/telemetry/series"
 	"tps/internal/trace"
@@ -135,6 +136,54 @@ func BenchmarkSMTRun(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
+		})
+	}
+}
+
+// BenchmarkFirstTouch measures the demand-fault path the warm-up init
+// sweeps spend their time in: one op is one first write to a fresh 4 KB
+// page of gups's 4 GB init region, delivered through RefBatch, so ns/op is
+// ns per init page — the probe translation, the fault with its promotion
+// cascade, and the retried translation that fills the TLBs. When a
+// region is used up, a fresh machine (untimed) supplies the next one.
+//
+//	go test -run='^$' -bench=FirstTouch ./internal/sim
+func BenchmarkFirstTouch(b *testing.B) {
+	const region = 4 << 30 // gups's footprint, swept once at init
+	for _, s := range scheme.Names() {
+		b.Run(s, func(b *testing.B) {
+			var (
+				m    *machine
+				next addr.Virt
+				left int
+			)
+			refs := make([]trace.Ref, 0, 512)
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				if left == 0 {
+					b.StopTimer()
+					var err error
+					if m, err = newMachine(Options{Scheme: s, MemoryPages: 1 << 22}); err != nil {
+						b.Fatal(err)
+					}
+					if next, err = m.Mmap(region); err != nil {
+						b.Fatal(err)
+					}
+					left = region / addr.BasePageSize
+					b.StartTimer()
+				}
+				k := min(cap(refs), b.N-n, left)
+				refs = refs[:0]
+				for i := 0; i < k; i++ {
+					refs = append(refs, trace.Ref{Addr: next, Write: true})
+					next += addr.BasePageSize
+				}
+				if err := m.RefBatch(refs); err != nil {
+					b.Fatal(err)
+				}
+				n += k
+				left -= k
+			}
 		})
 	}
 }

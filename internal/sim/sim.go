@@ -502,22 +502,25 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 	}
 
 	counter := &trace.CountingSink{Sink: m}
-	if opts.SMT {
-		if err := runSMT(w, m, counter, opts); err != nil {
-			return Result{}, err
-		}
-	} else {
-		// Batch the generator's per-Ref stream so the machine consumes
-		// references a slice at a time.
-		b := trace.NewBatcher(counter)
-		if err := w.Run(b, opts.Refs, opts.Seed); err != nil {
-			return Result{}, err
-		}
-		if err := b.Flush(); err != nil {
-			return Result{}, err
-		}
+	if err := m.drive(w, counter); err != nil {
+		return Result{}, err
 	}
 	return m.collect(w, counter), nil
+}
+
+// drive streams the workload through the machine, delivering every event
+// through counter (whose Sink is the machine, or a wrapper of it).
+func (m *machine) drive(w workload.Workload, counter *trace.CountingSink) error {
+	if m.opts.SMT {
+		return runSMT(w, m, counter, m.opts)
+	}
+	// Batch the generator's per-Ref stream so the machine consumes
+	// references a slice at a time.
+	b := trace.NewBatcher(counter)
+	if err := w.Run(b, m.opts.Refs, m.opts.Seed); err != nil {
+		return err
+	}
+	return b.Flush()
 }
 
 func (m *machine) collect(w workload.Workload, c *trace.CountingSink) Result {
