@@ -34,42 +34,64 @@ func (c *PWCache) key(v addr.Virt) uint64 {
 	return uint64(v) >> (addr.BasePageShift + uint(c.level)*addr.LevelBits)
 }
 
-// Lookup reports whether the non-leaf entry covering v at this level is
-// cached.
-func (c *PWCache) Lookup(v addr.Virt) bool {
-	k := c.key(v)
-	for i := range c.entries {
-		if c.entries[i].valid && c.entries[i].key == k {
-			c.tick++
-			c.entries[i].lru = c.tick
-			c.hits++
-			return true
-		}
+// find returns the way holding key k and true, or else the way Insert
+// would replace and false: the first invalid way, else the first way with
+// the smallest LRU stamp. guess is the caller's bet on k's way (the way
+// this cache last used for it); valid keys are unique, so a guess that
+// holds k is the answer without a scan.
+func (c *PWCache) find(k uint64, guess int) (int, bool) {
+	if w := &c.entries[guess]; w.valid && w.key == k {
+		return guess, true
 	}
-	c.misses++
-	return false
-}
-
-// Insert caches the non-leaf entry covering v at this level.
-func (c *PWCache) Insert(v addr.Virt) {
-	k := c.key(v)
-	c.tick++
-	var victim *pwcWay
+	vi, free := 0, false
 	for i := range c.entries {
 		w := &c.entries[i]
-		if w.valid && w.key == k {
-			w.lru = c.tick
-			return
-		}
-		if victim == nil || !w.valid || (victim.valid && w.lru < victim.lru) {
-			if victim == nil || victim.valid {
-				victim = w
+		switch {
+		case !w.valid:
+			if !free {
+				vi, free = i, true
 			}
+		case w.key == k:
+			return i, true
+		case !free && w.lru < c.entries[vi].lru:
+			vi = i
 		}
 	}
-	victim.key = k
-	victim.valid = true
-	victim.lru = c.tick
+	return vi, false
+}
+
+// LookupFill is a walk's use of the cache at one level: look up the
+// non-leaf entry covering v, then cache it. It has exactly the effects of
+// a lookup followed by Insert, in one scan: a hit counts and refreshes its
+// way (a clock tick for each of the two steps), a miss counts and fills
+// the way Insert would pick. It returns the way used, the caller's next
+// guess (see find), and whether the lookup hit.
+func (c *PWCache) LookupFill(v addr.Virt, guess int) (int, bool) {
+	k := c.key(v)
+	i, hit := c.find(k, guess)
+	if hit {
+		c.hits++
+		c.tick += 2
+	} else {
+		c.misses++
+		c.tick++
+		c.entries[i] = pwcWay{key: k, valid: true}
+	}
+	c.entries[i].lru = c.tick
+	return i, hit
+}
+
+// Insert caches the non-leaf entry covering v at this level, returning
+// the way used (see find for guess).
+func (c *PWCache) Insert(v addr.Virt, guess int) int {
+	k := c.key(v)
+	c.tick++
+	i, hit := c.find(k, guess)
+	if !hit {
+		c.entries[i] = pwcWay{key: k, valid: true}
+	}
+	c.entries[i].lru = c.tick
+	return i
 }
 
 // InvalidateRange drops cached entries whose subtree overlaps [start, end)

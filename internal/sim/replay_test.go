@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,33 +22,41 @@ import (
 // their traces run to ~20 MB each; three workloads keep this fast.)
 func TestTraceReplayMatchesDirectRun(t *testing.T) {
 	const refs, seed = 20_000, 42
-	for _, name := range []string{"xz", "gcc", "leela"} {
-		w, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("no workload %q", name)
-		}
-		path := filepath.Join(t.TempDir(), name+".trace")
-		dumpTrace(t, w, path, refs, seed)
-		replay := workload.FromTrace(path)
-		for _, sch := range scheme.Names() {
-			for _, cyc := range []bool{false, true} {
-				opts := Options{Scheme: sch, Refs: refs, Seed: seed, CycleModel: cyc}
-				direct, err := Run(w, opts)
-				if err != nil {
-					t.Fatalf("%s/%s direct: %v", name, sch, err)
-				}
-				got, err := Run(replay, opts)
-				if err != nil {
-					t.Fatalf("%s/%s replay: %v", name, sch, err)
-				}
-				got.Workload = direct.Workload
-				if !reflect.DeepEqual(got, direct) {
-					t.Errorf("%s/%s cycles=%v: replay differs from the direct run\nreplay %+v\ndirect %+v",
-						name, sch, cyc, got, direct)
+	dir := t.TempDir()
+	// The cases run in parallel inside one group, which returns only when
+	// they all have finished — so the trace files, which belong to the
+	// enclosing test, outlive every replay.
+	t.Run("group", func(t *testing.T) {
+		for _, name := range []string{"xz", "gcc", "leela"} {
+			w, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("no workload %q", name)
+			}
+			path := filepath.Join(dir, name+".trace")
+			dumpTrace(t, w, path, refs, seed)
+			replay := workload.FromTrace(path)
+			for _, sch := range scheme.Names() {
+				for _, cyc := range []bool{false, true} {
+					opts := Options{Scheme: sch, Refs: refs, Seed: seed, CycleModel: cyc}
+					t.Run(fmt.Sprintf("%s/%s/cycles=%v", name, sch, cyc), func(t *testing.T) {
+						t.Parallel()
+						direct, err := Run(w, opts)
+						if err != nil {
+							t.Fatalf("direct: %v", err)
+						}
+						got, err := Run(replay, opts)
+						if err != nil {
+							t.Fatalf("replay: %v", err)
+						}
+						got.Workload = direct.Workload
+						if !reflect.DeepEqual(got, direct) {
+							t.Errorf("replay differs from the direct run\nreplay %+v\ndirect %+v", got, direct)
+						}
+					})
 				}
 			}
 		}
-	}
+	})
 }
 
 // dumpTrace records w's stream at the given budget to a trace file.

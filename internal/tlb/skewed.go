@@ -109,6 +109,12 @@ func (s *Skewed) Probe(vpn addr.VPN) (Entry, bool) {
 	return Entry{}, false
 }
 
+// CreditMiss implements TLB.
+func (s *Skewed) CreditMiss() {
+	s.stats.Accesses++
+	s.stats.Misses++
+}
+
 // Insert implements TLB: the entry lands in its least-recently-used
 // candidate slot across all ways (invalid slots first).
 func (s *Skewed) Insert(e Entry) {

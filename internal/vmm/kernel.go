@@ -474,13 +474,15 @@ func (k *Kernel) Access(v addr.Virt, write bool) (mmu.Result, error) {
 
 // Resolve is the slow path of Access: given a failed translation (res, err
 // as Translate returned them), service the demand fault or CoW write fault
-// and retry the translation.
+// and retry the translation. A demand fault retries through mmu.Retry,
+// which need not repeat the lookups the failed translation proved miss.
 func (k *Kernel) Resolve(v addr.Virt, write bool, res mmu.Result, err error) (mmu.Result, error) {
 	switch {
 	case errors.Is(err, pagetable.ErrNotMapped):
 		if err := k.Fault(v, write); err != nil {
 			return mmu.Result{}, err
 		}
+		return k.mmu.Retry(v, write)
 	case isWriteProtected(err):
 		if err := k.handleCOWFault(v); err != nil {
 			return mmu.Result{}, err

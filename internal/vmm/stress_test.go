@@ -40,6 +40,9 @@ type shadowWorld struct {
 	frameContent map[addr.PFN]uint64
 	nextID       uint64
 	table        []tablePage // checkKernel's scratch
+	// checked lists the pages the current operation touched or unmapped,
+	// for checkCoverage.
+	checked []addr.VPN
 }
 
 // tablePage is one installed page as the page table reports it.
@@ -50,6 +53,7 @@ type tablePage struct {
 
 func (w *shadowWorld) writePage(r *shadowRegion, page uint64) {
 	v := r.base + addr.Virt(page*addr.BasePageSize)
+	w.checked = append(w.checked, v.PageNumber())
 	copied := w.k.stats.Cow.CopiedPages
 	res, err := w.k.Access(v, true)
 	if err != nil {
@@ -76,6 +80,7 @@ func (w *shadowWorld) writePage(r *shadowRegion, page uint64) {
 
 func (w *shadowWorld) readPage(r *shadowRegion, page uint64) {
 	v := r.base + addr.Virt(page*addr.BasePageSize)
+	w.checked = append(w.checked, v.PageNumber())
 	res, err := w.k.Access(v, false)
 	if err != nil {
 		w.t.Fatalf("read %#x: %v", uint64(v), err)
@@ -200,6 +205,9 @@ func runKernelOps(t testing.TB, oc opsConfig, c choices, steps int, memPages, ma
 			if err := k.Munmap(r.base); err != nil {
 				t.Fatalf("munmap: %v", err)
 			}
+			for p := uint64(0); p < r.pages; p++ {
+				w.checked = append(w.checked, r.base.PageNumber()+addr.VPN(p))
+			}
 			w.regions = append(w.regions[:i], w.regions[i+1:]...)
 			w.relabel()
 		case op < 93 && oc.org == mmu.OrgTPS && len(w.regions) > 0 && len(w.regions) < 24: // CoW clone
@@ -232,6 +240,9 @@ func runKernelOps(t testing.TB, oc opsConfig, c choices, steps int, memPages, ma
 		if err := w.checkKernel(); err != nil {
 			t.Fatalf("step %d: kernel: %v", step, err)
 		}
+		if err := w.checkCoverage(); err != nil {
+			t.Fatalf("step %d: TLB coverage: %v", step, err)
+		}
 	}
 	// Tear everything down: no leaks.
 	for _, r := range w.regions {
@@ -242,6 +253,29 @@ func runKernelOps(t testing.TB, oc opsConfig, c choices, steps int, memPages, ma
 	if bud.FreePages() != bud.TotalPages() {
 		t.Errorf("leak: %d != %d", bud.FreePages(), bud.TotalPages())
 	}
+}
+
+// checkCoverage verifies the invariant the MMU's first-touch shortcut
+// rests on: no L1 or STLB entry covers a page the page table does not map
+// (every unmap shoots the range down). It checks the pages the operation
+// touched or unmapped — the re-verification sweep touches every seventh
+// page of every region, and relabeling after a frame move every written
+// page — then forgets them.
+func (w *shadowWorld) checkCoverage() error {
+	m := w.k.mmu
+	structs := append(m.L1TLBs(), m.STLBs()...)
+	for _, vpn := range w.checked {
+		if _, err := w.k.table.Lookup(vpn.Addr()); err == nil {
+			continue
+		}
+		for _, s := range structs {
+			if e, hit := s.Probe(vpn); hit {
+				return fmt.Errorf("%s holds %+v over unmapped page %#x", s.Name(), e, vpn)
+			}
+		}
+	}
+	w.checked = w.checked[:0]
+	return nil
 }
 
 // checkKernel verifies that every reservation's mapped-page bookkeeping
